@@ -8,13 +8,13 @@ classes touched by their support.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from ._linalg import is_zero, vec_add, vec_sub
 from .cones import cone, is_pointed
 from .diophantine import DiophantineInstance, enumerate_solutions, is_member
 from .errors import NotPointedError, TheoremContractError
+from .numerical import _member_table
 from .semigroups import AffineSemigroup, intersect_semigroup_family
 
 
@@ -129,17 +129,6 @@ def find_k_chromatic(s, b, k):
     return None
 
 
-@lru_cache(maxsize=None)
-def _reach_table(values, bound):
-    table = bytearray(bound + 1)
-    table[0] = 1
-    for a in values:
-        for v in range(a, bound + 1):
-            if table[v - a]:
-                table[v] = 1
-    return bytes(table)
-
-
 def _find_k_chromatic_positive(s, b, k):
     """Dense-table variant for positive one-dimensional columns."""
     if b < 0:
@@ -148,7 +137,7 @@ def _find_k_chromatic_positive(s, b, k):
     bound = 1
     while bound < max(b, 1):
         bound *= 2
-    table = _reach_table(values, bound)
+    table = _member_table(values, bound)
     for chosen in combinations(range(s.n_colors), k):
         for pick in product(*[s.classes[i] for i in chosen]):
             v = sum(values[i] for i in pick)

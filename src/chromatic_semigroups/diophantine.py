@@ -2,9 +2,10 @@
 
 Enumeration relies on a pointedness witness w (an integer functional that
 is positive on every column), which bounds every branch of the search by
-<w, residual> >= 0; membership additionally merges branches that reach the
-same residual.  Homogeneous systems get their Hilbert basis geometrically
-(see `_hilbert`), with a completion procedure kept as a reference.
+<w, residual> >= 0.  One search serves enumeration and membership (its
+first solution) and skips residual states already shown dead.  Homogeneous
+systems get their Hilbert basis geometrically (see `_hilbert`), with a
+completion procedure kept as a reference.
 """
 
 from dataclasses import dataclass
@@ -63,74 +64,14 @@ def iter_solutions(inst):
 def is_member(inst):
     """(flag, witness solution or None).
 
-    Decided by a memoized residual search: distinct branch prefixes that
-    reach the same remaining target are merged, which keeps membership fast
-    on targets whose enumeration tree is enormous.
+    The witness is the first solution of the depth-first search, so it
+    matches the first one `iter_solutions` yields; residual states already
+    shown dead are skipped, which keeps membership fast on targets whose
+    enumeration tree is enormous.
     """
-    plan = _plan(inst)
-    if plan is None:
-        return (True, ()) if is_zero(inst.rhs) else (False, None)
-    order, ocols, wvals, suffix_rows, row_steps, forced = plan
-    n = len(ocols)
-    memo = {}
-
-    def decide(k, residual, wres):
-        if wres < 0:
-            return None
-        if k == n:
-            return () if all(v == 0 for v in residual) else None
-        key = (k, residual)
-        if key in memo:
-            return memo[key]
-        col = ocols[k]
-        wc = wvals[k]
-        rows = suffix_rows[k + 1]
-        steps = row_steps[k]
-        fj = forced[k]
-        result = None
-        if fj is not None:
-            q, r = divmod(residual[fj], col[fj])
-            if r == 0 and q >= 0 and wres - q * wc >= 0:
-                res = tuple(a - q * c for a, c in zip(residual, col))
-                if all(dot(m, res) >= 0 for m in rows):
-                    tail = decide(k + 1, res, wres - q * wc)
-                    if tail is not None:
-                        result = (q,) + tail
-        else:
-            vals = [dot(m, residual) for m in rows]
-            x = 0
-            res = residual
-            while wres >= 0:
-                skip = False
-                stop = False
-                for v, mc in zip(vals, steps):
-                    if v < 0:
-                        if mc >= 0:
-                            stop = True
-                            break
-                        skip = True
-                if stop:
-                    break
-                if not skip:
-                    tail = decide(k + 1, res, wres)
-                    if tail is not None:
-                        result = (x,) + tail
-                        break
-                x += 1
-                wres -= wc
-                res = tuple(a - c for a, c in zip(res, col))
-                vals = [v - mc for v, mc in zip(vals, steps)]
-        memo[key] = result
-        return result
-
-    d = len(inst.rhs)
-    got = decide(0, tuple(inst.rhs), dot(_witness(inst.columns, d), inst.rhs))
-    if got is None:
-        return False, None
-    sol = [0] * n
-    for pos, i in enumerate(order):
-        sol[i] = got[pos]
-    return True, tuple(sol)
+    for sol in _search(inst):
+        return True, sol
+    return False, None
 
 
 def count_solutions(inst, allowed):
@@ -208,6 +149,12 @@ def _plan(inst):
 
 
 def _search(inst):
+    """Depth-first search over the columns in plan order.
+
+    A state (k, residual) whose subtree yielded nothing is recorded as dead
+    and skipped when another prefix reaches it: the subtree depends only on
+    that pair, since <w, residual> fixes the remaining budget.
+    """
     rhs = inst.rhs
     d = len(rhs)
     plan = _plan(inst)
@@ -220,15 +167,22 @@ def _search(inst):
     w = _witness(inst.columns, d)
 
     acc = [0] * n
+    dead = set()
+    hits = [0]
 
     def descend(k, residual, wres):
         if k == n:
             if all(v == 0 for v in residual):
+                hits[0] += 1
                 sol = [0] * n
                 for pos, i in enumerate(order):
                     sol[i] = acc[pos]
                 yield tuple(sol)
             return
+        key = (k, residual)
+        if key in dead:
+            return
+        before = hits[0]
         col = ocols[k]
         wc = wvals[k]
         rows = suffix_rows[k + 1]
@@ -236,36 +190,37 @@ def _search(inst):
         fj = forced_coord[k]
         if fj is not None:
             q, r = divmod(residual[fj], col[fj])
-            if r != 0 or q < 0 or wres - q * wc < 0:
-                return
-            res = [a - q * c for a, c in zip(residual, col)]
-            if all(dot(m, res) >= 0 for m in rows):
-                acc[k] = q
-                yield from descend(k + 1, res, wres - q * wc)
-            return
-        vals = [dot(m, residual) for m in rows]
-        x = 0
-        res = residual
-        while wres >= 0:
-            skip = False
-            stop = False
-            for v, mc in zip(vals, steps):
-                if v < 0:
-                    if mc >= 0:
-                        stop = True
-                        break
-                    skip = True
-            if stop:
-                break
-            if not skip:
-                acc[k] = x
-                yield from descend(k + 1, res, wres)
-            x += 1
-            wres -= wc
-            res = tuple(a - c for a, c in zip(res, col))
-            vals = [v - mc for v, mc in zip(vals, steps)]
+            if r == 0 and q >= 0 and wres - q * wc >= 0:
+                res = tuple(a - q * c for a, c in zip(residual, col))
+                if all(dot(m, res) >= 0 for m in rows):
+                    acc[k] = q
+                    yield from descend(k + 1, res, wres - q * wc)
+        else:
+            vals = [dot(m, residual) for m in rows]
+            x = 0
+            res = residual
+            while wres >= 0:
+                skip = False
+                stop = False
+                for v, mc in zip(vals, steps):
+                    if v < 0:
+                        if mc >= 0:
+                            stop = True
+                            break
+                        skip = True
+                if stop:
+                    break
+                if not skip:
+                    acc[k] = x
+                    yield from descend(k + 1, res, wres)
+                x += 1
+                wres -= wc
+                res = tuple(a - c for a, c in zip(res, col))
+                vals = [v - mc for v, mc in zip(vals, steps)]
+        if hits[0] == before:
+            dead.add(key)
 
-    yield from descend(0, list(rhs), dot(w, rhs))
+    yield from descend(0, rhs, dot(w, rhs))
 
 
 def hilbert_basis_homogeneous(rows):

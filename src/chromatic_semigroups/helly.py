@@ -97,14 +97,18 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None,
     intersection contradicts the audit contract and raises (or is flagged
     when `raise_on_anomaly` is false).  Size-0 subsets make the premise
     vacuously true.  Beyond 12 members the subsets are sampled
-    pseudo-randomly (`max_subsets` of them, default 2000); the seed is
-    echoed and the report carries a note that the premise was sampled.
+    pseudo-randomly (`max_subsets` of them, default 2000; it must be
+    positive); the seed is echoed and the report carries a note that the
+    premise was sampled.
     """
     n = len(family.members)
     case_size = min(family.case_subset_size, n)
     size = case_size if subset_size is None else subset_size
     if size < 0 or size > n:
         raise ValueError(f"subset size {size} out of range 0..{n}")
+    if max_subsets is not None and max_subsets <= 0:
+        # sampling no subsets would make the premise vacuously true
+        raise ValueError(f"max_subsets must be positive, got {max_subsets}")
     if n > FULL_AUDIT_LIMIT and max_subsets is None:
         max_subsets = DEFAULT_SAMPLED_SUBSETS
 

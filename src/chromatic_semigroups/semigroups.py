@@ -22,6 +22,7 @@ from .cones import (
 )
 from .diophantine import DiophantineInstance, hilbert_basis_homogeneous, is_member
 from .errors import DimensionMismatchError, NotPointedError, PointNotInConeError
+from .numerical import _member_table
 
 _SCALE_CAP = 10 ** 6
 
@@ -185,12 +186,7 @@ def _numerical_intersection(value_blocks):
         for v in range(period, bound + 1, period):
             common[v] = 1
         for block in value_blocks:
-            table = bytearray(bound + 1)
-            table[0] = 1
-            for a in block:
-                for v in range(a, bound + 1):
-                    if table[v - a]:
-                        table[v] = 1
+            table = _member_table(tuple(block), bound)
             for v in range(bound + 1):
                 if common[v] and not table[v]:
                     common[v] = 0

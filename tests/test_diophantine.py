@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -9,6 +10,7 @@ from chromatic_semigroups import (
     enumerate_solutions,
     hilbert_basis_homogeneous,
     is_member,
+    iter_solutions,
 )
 from chromatic_semigroups.diophantine import hilbert_basis_completion
 from chromatic_semigroups.errors import NotPointedError
@@ -211,3 +213,44 @@ def test_enumeration_agrees_with_bounded_grid_scan():
             bound.append(0 if best is None else best)
         assert enumerate_solutions(inst) == tuple(
             brute_solutions(cols, b, bound))
+
+
+def test_member_agrees_with_bruteforce_and_first_solution_signed():
+    # signed pointed instances: the flag matches a witness-bounded grid
+    # scan, the witness solves the system, and it is the first solution the
+    # search yields (so `member` reports do not depend on the pruning)
+    from chromatic_semigroups.cones import cone, is_pointed
+    rng = random.Random(77)
+    done = hits = 0
+    while done < 150:
+        d = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        cols = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(n)]
+        if any(not any(c) for c in cols):
+            continue
+        pointed, w = is_pointed(cone(cols, d))
+        if not pointed:
+            continue
+        if rng.random() < 0.5:
+            b = tuple(rng.randint(-20, 20) for _ in range(d))
+        else:  # a semigroup element, so that members are common
+            mult = [rng.randint(0, 3) for _ in range(n)]
+            b = tuple(sum(m * c[j] for m, c in zip(mult, cols))
+                      for j in range(d))
+        inst = DiophantineInstance(tuple(cols), b)
+        wb = sum(x * y for x, y in zip(w, b))
+        bound = [max(wb, 0) // sum(x * y for x, y in zip(w, c)) for c in cols]
+        if prod(v + 1 for v in bound) > 20000:
+            continue  # keep the grid scan small
+        found, x = is_member(inst)
+        assert found == bool(brute_solutions(cols, b, bound))
+        if found:
+            assert all(v >= 0 for v in x)
+            assert tuple(sum(x[i] * cols[i][j] for i in range(n))
+                         for j in range(d)) == b
+            assert x == next(iter_solutions(inst))
+            hits += 1
+        else:
+            assert x is None
+        done += 1
+    assert hits >= 50

@@ -67,6 +67,17 @@ def test_helly_audit_subset_sampling_is_seeded():
     assert r1.sampled and r1.seed == 5
 
 
+def test_helly_audit_rejects_nonpositive_max_subsets():
+    # sampling no subsets would make the premise vacuously true and report
+    # a false anomaly on a family whose premise fails
+    fam = SemigroupFamily((semigroup([(1, 0)]), semigroup([(0, 1)])),
+                          "pointed-noncover")
+    assert not helly_audit(fam).premise_holds
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            helly_audit(fam, max_subsets=bad)
+
+
 def test_colorful_helly_equal_families():
     d = 2
     base = semigroup([(1, 0), (0, 1)])

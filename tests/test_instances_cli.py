@@ -255,6 +255,8 @@ def test_golden_exit_codes_every_subcommand(two_color_path, example_one_path,
         (["hilbert", two_color_path], 0),
         (["helly-audit", "--case", "noncover", two_color_path], 0),
         (["helly-audit", "--case", "bogus", two_color_path], 2),
+        (["helly-audit", "--max-subsets", "0", two_color_path], 2),
+        (["helly-audit", "--max-subsets", "-1", two_color_path], 2),
         (["tverberg", "--r", "2", two_color_path], 0),
         (["tverberg", "--r", "3", two_color_path], 1),  # 2 gens, 3 blocks
         (["caratheodory", two_color_path], 0),

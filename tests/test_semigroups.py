@@ -134,6 +134,17 @@ def test_intersection_matches_bruteforce_random():
         for i, g in enumerate(got.generators):
             others = tuple(h for j, h in enumerate(got.generators) if j != i)
             assert g not in closure(others, dim, sum(g))
+    # three 1-D members: the multi-block numerical table path
+    for _ in range(15):
+        members = [random_pointed_semigroup(rng, 1, 3, lo=0, hi=6)
+                   for _ in range(3)]
+        got = intersect_semigroup_family(members)
+        want = set.intersection(*(closure(s.generators, 1, 120)
+                                  for s in members))
+        assert closure(got.generators, 1, 120) == want
+        for i, g in enumerate(got.generators):
+            others = tuple(h for j, h in enumerate(got.generators) if j != i)
+            assert g not in closure(others, 1, sum(g))
 
 
 def test_cone_commutes_with_intersection():
