@@ -42,7 +42,6 @@ from .errors import (
     NotPointedError,
     NotPrimitiveError,
     PointNotInConeError,
-    QuasiPolynomialValidationError,
     SemigroupError,
     TheoremContractError,
 )

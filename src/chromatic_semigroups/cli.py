@@ -31,7 +31,6 @@ from .errors import (
     HypothesisUnmetError,
     InstanceParseError,
     InstanceValidationError,
-    QuasiPolynomialValidationError,
     SemigroupError,
     TheoremContractError,
 )
@@ -71,9 +70,6 @@ def main(argv=None):
     except TheoremContractError as exc:
         print(f"anomaly: {exc}", file=sys.stderr)
         return 3
-    except QuasiPolynomialValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SemigroupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -144,8 +140,6 @@ def build_parser():
     p = cmd("quasipoly", _run_quasipoly,
             help="fit the k-color solution count per residue class")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--start", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
 
     p = cmd("cteg", _run_cteg, needs_instance=False,
             help="build the single-color-expressions family")
@@ -399,8 +393,7 @@ def _run_count(args):
 def _run_quasipoly(args):
     doc = parse_instance(args.instance)
     s = doc.to_numerical()
-    qp = fit_quasipolynomial(s, args.k, start=args.start,
-                             validate_length=args.window)
+    qp = fit_quasipolynomial(s, args.k)
     payload = {
         "subcommand": "quasipoly",
         "k": args.k,

@@ -35,15 +35,6 @@ class TheoremContractError(SemigroupError):
     bug (or a bad caller assertion), never a normal negative answer."""
 
 
-class QuasiPolynomialValidationError(SemigroupError):
-    """A fitted quasipolynomial disagreed with an exact count on the
-    validation window."""
-
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
-
-
 class InstanceParseError(SemigroupError):
     """Instance document is not syntactically valid JSON."""
 

@@ -5,8 +5,8 @@ with a k-color representation decomposes as a finite union of translates
 (one per way of picking one generator from k distinct classes), which turns
 every question here into table lookups.  Representation counts are exact
 integers from a denumerant dynamic program with subset inclusion-exclusion,
-and their eventual quasipolynomial behaviour is recovered by interpolation
-plus forward validation.
+and their quasipolynomial is recovered by interpolation, exact for every
+positive target by Ehrhart-Macdonald reciprocity.
 """
 
 from dataclasses import dataclass
@@ -16,11 +16,7 @@ from itertools import combinations, product
 from math import gcd
 
 from ._linalg import lcm_all
-from .errors import (
-    NotPrimitiveError,
-    QuasiPolynomialValidationError,
-    TheoremContractError,
-)
+from .errors import NotPrimitiveError, TheoremContractError
 
 _ZERO_NOTE = ("0 is counted as a chromatic gap: the empty solution uses no "
               "colors")
@@ -90,38 +86,26 @@ def _check_primitive(vals):
     return vals
 
 
+def _schur_table(vals):
+    # Schur's bound F <= (a0 - 1)(an - 1) - 1 puts every gap in the table
+    return _member_table(vals, (vals[0] - 1) * (vals[-1] - 1))
+
+
 def frobenius(values):
     """Largest integer with no representation (-1 when 1 is a generator).
 
-    A membership table is scanned; the answer is accepted once min(values)
-    consecutive representable integers sit above the largest gap, which
-    certifies every larger integer is representable.
+    Scans one membership table up to (a0 - 1)(an - 1), a0 and an the
+    smallest and largest generator, which Schur's bound
+    F <= (a0 - 1)(an - 1) - 1 places above the largest gap.
     """
-    vals = _check_primitive(values)
-    if vals[0] == 1:
-        return -1
-    bound = vals[0] * vals[-1] + vals[-1]
-    while True:
-        table = _member_table(vals, bound)
-        f = None
-        for v in range(bound, 0, -1):
-            if not table[v]:
-                f = v
-                break
-        if f is not None and f + vals[0] <= bound and \
-                all(table[v] for v in range(f + 1, f + vals[0] + 1)):
-            return f
-        bound *= 2
+    table = _schur_table(_check_primitive(values))
+    return next((v for v in range(len(table) - 1, 0, -1) if not table[v]), -1)
 
 
 def gap_set(values):
     """All nonrepresentable nonnegative integers, as a sorted tuple."""
-    vals = _check_primitive(values)
-    f = frobenius(vals)
-    if f < 0:
-        return ()
-    table = _member_table(vals, f)
-    return tuple(v for v in range(1, f + 1) if not table[v])
+    table = _schur_table(_check_primitive(values))
+    return tuple(v for v in range(1, len(table)) if not table[v])
 
 
 def chromatic_offsets(s, k):
@@ -430,54 +414,40 @@ class QuasiPolynomial:
         return acc
 
 
-def fit_quasipolynomial(s, k, start=None, validate_length=None):
-    """Fit the count of k-color solutions per residue class mod lcm(A).
+def fit_quasipolynomial(s, k):
+    """Fit the count of k-color solutions per residue class mod L = lcm(A).
 
-    For each residue, a polynomial of degree < n (n = number of generators)
-    is interpolated through n exact counts sampled from `start` upward in
-    steps of the period, then checked against a disjoint forward window of
-    `validate_length` consecutive targets; any disagreement raises.  The
-    reported threshold is the smallest b from which backward re-evaluation
-    agrees with the exact counts.
+    For each residue r, a polynomial of degree < n (n = number of
+    generators) is interpolated through the exact counts at the n targets
+    r, r + L, ..., r + (n - 1) L (residue 0 at L, 2L, ..., nL).  The fit is
+    exact for every b >= 1 and wrong at b = 0, so the threshold is 1:
+
+    - For a nonempty set U of classes, the denumerant D_U(b) (solutions
+      using only the classes in U) equals a quasipolynomial of period
+      dividing L and degree < n for every b > -sum(U), sum(U) being the sum
+      of the generators in U.  By Ehrhart-Macdonald reciprocity that
+      quasipolynomial at -b counts, up to sign, the solutions of b with
+      every variable positive, and there are none for 0 < b < sum(U).
+    - By inclusion-exclusion the count is the sum over |T| >= k of the
+      signed D_U, U a subset of T.  U empty contributes D(b) = [b = 0]
+      with total coefficient sum_{t=k..l} (-1)^t C(l, t)
+      = (-1)^k C(l - 1, k - 1), nonzero for 1 <= k <= l (l classes).
+
+    So the count is a quasipolynomial plus (-1)^k C(l - 1, k - 1) [b = 0],
+    and n samples per residue, all at b >= 1, determine it.
     """
-    gens = s.generators
-    n = len(gens)
-    period = lcm_all(gens)
-    offsets = chromatic_offsets(s, k)
-    if start is None:
-        start = offsets[0] + frobenius(gens) + 1
-    if start < 0:
-        raise ValueError("start must be nonnegative")
-    if validate_length is None:
-        validate_length = period
-    samples_end = start + n * period - 1
-    max_needed = samples_end + validate_length
-    tables = _mask_tables(s.classes, max_needed)
     ell = s.n_colors
-
-    def exact(b):
-        return _count_from_tables(tables, ell, b, k)
-
-    constituents = [None] * period
+    if not 1 <= k <= ell:
+        raise ValueError(f"k must be between 1 and {ell}")
+    n = len(s.generators)
+    period = lcm_all(s.generators)
+    tables = _mask_tables(s.classes, n * period)
+    constituents = []
     for r in range(period):
-        base = start + (r - start) % period
-        xs = [base + j * period for j in range(n)]
-        ys = [Fraction(exact(x)) for x in xs]
-        constituents[r % period] = _interpolate(xs, ys)
-    qp = QuasiPolynomial(period, tuple(constituents), 0)
-
-    for b in range(samples_end + 1, samples_end + 1 + validate_length):
-        if qp.evaluate(b) != exact(b):
-            raise QuasiPolynomialValidationError(
-                f"fitted constituent disagrees with the exact count at {b}",
-                value=b)
-
-    threshold = 0
-    for b in range(start - 1, -1, -1):
-        if qp.evaluate(b) != exact(b):
-            threshold = b + 1
-            break
-    return QuasiPolynomial(period, tuple(constituents), threshold)
+        xs = [(r or period) + j * period for j in range(n)]
+        ys = [_count_from_tables(tables, ell, x, k) for x in xs]
+        constituents.append(_interpolate(xs, ys))
+    return QuasiPolynomial(period, tuple(constituents), 1)
 
 
 def _interpolate(xs, ys):

@@ -198,7 +198,7 @@ def test_criterion_08_quasipolynomial_fit():
     with _clock(8, "period-lcm fits validate on 30 held-out targets", 30.0):
         for classes in (([3], [5]), ([2], [3])):
             s = colored_numerical(*classes)
-            qp = fit_quasipolynomial(s, 2, validate_length=30)
+            qp = fit_quasipolynomial(s, 2)
             cols = tuple((v,) for cls in classes for v in cls)
             col_classes = []
             pos = 0

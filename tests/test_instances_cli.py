@@ -16,6 +16,12 @@ TWO_COLOR = {
                {"name": "blue", "generators": [[5]]}],
 }
 
+TWO_THREE = {
+    "dimension": 1,
+    "colors": [{"name": "red", "generators": [[2]]},
+               {"name": "blue", "generators": [[3]]}],
+}
+
 EXAMPLE_ONE_DOC = {
     "dimension": 1,
     "colors": [{"name": "c1", "generators": [[9], [16]]},
@@ -29,6 +35,13 @@ EXAMPLE_ONE_DOC = {
 def two_color_path(tmp_path):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps(TWO_COLOR))
+    return str(p)
+
+
+@pytest.fixture
+def two_three_path(tmp_path):
+    p = tmp_path / "two_three.json"
+    p.write_text(json.dumps(TWO_THREE))
     return str(p)
 
 
@@ -243,8 +256,8 @@ def test_json_reports_roundtrip(two_color_path, capsys):
         assert json.loads(json.dumps(payload)) == payload
 
 
-def test_golden_exit_codes_every_subcommand(two_color_path, example_one_path,
-                                            capsys):
+def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
+                                            example_one_path, capsys):
     golden = [
         (["solve", example_one_path], 0),
         (["classify", "--solution", "3,1,0,1,0,1", example_one_path], 0),
@@ -267,6 +280,10 @@ def test_golden_exit_codes_every_subcommand(two_color_path, example_one_path,
         (["count", "--target", "23", "--k", "2", two_color_path], 0),
         (["quasipoly", "--k", "2", two_color_path], 0),
         (["quasipoly", "--k", "2", "--start", "0", two_color_path], 2),
+        (["quasipoly", "--k", "2", "--start", "0", "--window", "0",
+          two_three_path], 2),
+        (["quasipoly", "--k", "0", two_color_path], 2),
+        (["quasipoly", "--k", "3", two_color_path], 2),
         (["cteg", "--n", "3"], 0),
         (["cteg", "--n", "0"], 2),
         (["reduce", "--k", "2", "--mode", "b", two_color_path], 0),

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, lcm, prod
 
 import pytest
 
@@ -76,6 +76,28 @@ def test_gap_sets():
     assert gap_set([2, 3]) == (1,)
     assert gap_set([1]) == ()
     assert gap_set([3, 5, 7]) == (1, 2, 4)
+
+
+def test_frobenius_and_gaps_match_closure_random():
+    rng = random.Random(73)
+    for _ in range(60):
+        values = sorted(rng.sample(range(2, 41), rng.randint(3, 5)))
+        if gcd(*values) != 1:
+            continue
+        # every sum of generators up to the bound, by repeated addition
+        bound = sum(values) * values[-1]
+        reached = frontier = {0}
+        while frontier:
+            frontier = {v + a for v in frontier for a in values
+                        if v + a <= bound} - reached
+            reached = reached | frontier
+        gaps = [v for v in range(1, bound + 1) if v not in reached]
+        # values[0] consecutive members above the last gap reach every
+        # larger integer, so no gap lies beyond the bound
+        top = gaps[-1]
+        assert all(v in reached for v in range(top + 1, top + values[0] + 1))
+        assert frobenius(values) == top
+        assert gap_set(values) == tuple(gaps)
 
 
 def test_chromatic_offsets():
@@ -213,7 +235,7 @@ def test_quasipolynomial_three_five():
 
 def test_quasipolynomial_two_three_validates_forward():
     s = colored_numerical([2], [3])
-    qp = fit_quasipolynomial(s, 2, validate_length=12)
+    qp = fit_quasipolynomial(s, 2)
     start = max(qp.threshold, 5)
     for b in range(start, start + 40):
         assert qp.evaluate(b) == count_k_chromatic(s, b, 2)
@@ -224,6 +246,35 @@ def test_quasipolynomial_unit_generator():
     assert qp.period == 1
     assert qp.evaluate(5) == 1
     assert qp.threshold == 1  # the zero target has no 1-color solution
+
+
+def test_quasipolynomial_matches_enumeration_random():
+    rng = random.Random(79)
+    for ell in (1, 2, 3, 4) * 4:
+        while True:
+            values = rng.sample(range(1, 13), rng.randint(ell, 4))
+            n, period = len(values), lcm(*values)
+            # keep the solutions enumerated up to (n + 1) * period
+            # (about top^n / (n! prod(values))) few
+            top = (n + 1) * period
+            if (gcd(*values) == 1 and period <= 60
+                    and top ** n <= 20000 * factorial(n) * prod(values)):
+                break
+        s = ColoredNumericalSemigroup(
+            tuple(tuple(values[i::ell]) for i in range(ell)))
+        colored = to_colored(s)
+        fits = [fit_quasipolynomial(s, k) for k in range(1, ell + 1)]
+        for b in range(1, top + 1):
+            sols = enumerate_solutions(DiophantineInstance(colored.columns,
+                                                           (b,)))
+            levels = [classify(colored, x).chromatic_level for x in sols]
+            for k, qp in enumerate(fits, 1):
+                assert qp.evaluate(b) == sum(1 for c in levels if c >= k), \
+                    (s.classes, k, b)
+        for qp in fits:
+            assert qp.period == period
+            assert qp.threshold == 1
+            assert qp.evaluate(0) != 0  # the count at 0 is 0
 
 
 # ---------------------------------------------------------------------------
