@@ -1,8 +1,10 @@
 """Exact two-phase simplex over the rationals with Bland's pivot rule.
 
 Small and deterministic; every coefficient is a Fraction, so there is no
-tolerance anywhere.  Used for linear feasibility questions (pointedness
-witnesses, membership of rational points in cones).
+tolerance anywhere.  Backs `cones.rational_feasible`, which no computation
+in the package calls: it is public API and the tests' independent reference
+for the double description (membership of rational points in cones,
+pointedness).
 """
 
 from fractions import Fraction

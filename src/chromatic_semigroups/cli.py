@@ -44,7 +44,7 @@ from .numerical import (
     frobenius,
     gap_set,
 )
-from .semigroups import AffineSemigroup, intersect_semigroups
+from .semigroups import AffineSemigroup, intersect_semigroup_family
 
 _CASE_ASSERTIONS = {
     "noncover": "pointed-noncover",
@@ -244,16 +244,13 @@ def _run_member(args):
 def _run_intersect(args):
     doc = parse_instance(args.instance)
     colored = doc.to_colored_semigroup()
-    acc = colored.class_semigroup(0)
-    if colored.n_colors == 1:
-        acc = intersect_semigroups(acc, acc)
-    for i in range(1, colored.n_colors):
-        acc = intersect_semigroups(acc, colored.class_semigroup(i))
+    common = intersect_semigroup_family(
+        colored.class_semigroup(i) for i in range(colored.n_colors))
     payload = {
         "subcommand": "intersect",
         "dimension": doc.dimension,
-        "generators": [list(g) for g in acc.generators],
-        "trivial": acc.is_trivial,
+        "generators": [list(g) for g in common.generators],
+        "trivial": common.is_trivial,
     }
     return payload, False
 
@@ -371,6 +368,9 @@ def _run_chromatic_frobenius(args):
 
 def _run_count(args):
     doc = parse_instance(args.instance)
+    if not 1 <= args.k <= len(doc.colors):
+        raise InstanceValidationError(
+            f"--k must be between 1 and {len(doc.colors)}")
     b = _vector_arg(args.target, doc.dimension)
     if doc.dimension == 1:
         s = doc.to_numerical()

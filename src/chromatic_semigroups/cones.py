@@ -2,9 +2,10 @@
 
 Cones are handled entirely over arbitrary-precision rationals: generator
 (V) descriptions, inequality (H) descriptions, conversion between the two
-by the double description method, pointedness via a strict-positivity
-feasibility problem, and exact intersections with canonically normalized
-extreme rays.
+by the double description method, pointedness read off the dual cone, and
+exact intersections with canonically normalized extreme rays.  An exact
+Fraction LP (`rational_feasible`) is kept as public API and as the tests'
+independent reference; no other function here calls it.
 """
 
 from dataclasses import dataclass, replace
@@ -125,24 +126,19 @@ def contains_point(c, point):
 def is_pointed(c):
     """Decide pointedness; returns (flag, witness).
 
-    The witness is an integer functional w with w . g >= 1 for every
-    generator, produced by the strict-positivity feasibility problem; it is
-    None when the cone contains a line.
+    A cone is pointed iff its dual cone is full-dimensional, so the answer
+    is read off the double description of the dual (the same cached call
+    that `dd_convert` makes).  The witness, the primitive sum of the dual
+    extreme rays, is an integer functional with w . g >= 1 for every
+    nonzero generator; it depends only on the cone, not on the generating
+    set.  It is None when the cone contains a line.
     """
-    gens = [g for g in c.generators if not is_zero(g)]
-    if not gens:
+    if all(is_zero(g) for g in c.generators):
         return True, (1,) * c.dimension
-    if c.dimension == 1:
-        if all(g[0] > 0 for g in gens):
-            return True, (1,)
-        if all(g[0] < 0 for g in gens):
-            return True, (-1,)
+    lin, rays = _generator_description(c.generators, c.dimension)
+    if len(rref(lin + rays)[1]) < c.dimension:
         return False, None
-    rows = [tuple(g) + (1,) for g in gens]
-    point = rational_feasible(rows)
-    if point is None:
-        return False, None
-    return True, primitive(point)
+    return True, primitive([sum(col) for col in zip(*rays)])
 
 
 def intersect_cones(cones):

@@ -1,7 +1,8 @@
 """Exact solvers for linear Diophantine systems A x = b, x >= 0, x integer.
 
 Enumeration relies on a pointedness witness w (an integer functional that
-is positive on every column), which bounds every branch of the search by
+is positive on every column, read off the double description of the
+column cone), which bounds every branch of the search by
 <w, residual> >= 0.  One search serves enumeration and membership (its
 first solution) and skips residual states already shown dead.  Homogeneous
 systems get their Hilbert basis geometrically (see `_hilbert`), with a

@@ -14,6 +14,7 @@ from chromatic_semigroups import (
     rational_feasible,
     ray_description,
 )
+from chromatic_semigroups._linalg import rref
 from chromatic_semigroups.colored import build_unique_expression_family
 from chromatic_semigroups.errors import DimensionMismatchError
 
@@ -184,16 +185,35 @@ def test_roundtrip_random_cones():
 
 
 def test_pointed_witness_random():
+    # 1-3-D cones spanned by signed combinations of 1..m basis vectors, so
+    # lines and spans of lower dimension both occur; the flag is checked
+    # against the LP reference (pointed iff some w has w . g >= 1 on every
+    # generator), and the witness must depend on the cone alone
     rng = random.Random(7)
-    for _ in range(40):
+    seen = set()
+    for _ in range(300):
         m = rng.randint(1, 3)
-        gens = [tuple(rng.randint(-4, 4) for _ in range(m))
+        basis = [tuple(rng.randint(-4, 4) for _ in range(m))
+                 for _ in range(rng.randint(1, m))]
+        gens = [tuple(sum(rng.randint(-2, 2) * b[j] for b in basis)
+                      for j in range(m))
                 for _ in range(rng.randint(1, 5))]
         c = cone(gens, m)
         flag, w = is_pointed(c)
-        if flag:
-            for g in c.generators:
-                assert _dot(w, g) > 0
+        lp = rational_feasible([g + (1,) for g in c.generators]) is not None
+        assert flag == lp, c.generators
+        if not flag or not c.generators:
+            continue
+        for g in c.generators:
+            assert _dot(w, g) >= 1
+        shuffled = list(c.generators)
+        rng.shuffle(shuffled)
+        shuffled.append(tuple(a + b for a, b in
+                              zip(c.generators[0], c.generators[-1])))
+        assert is_pointed(cone(shuffled, m)) == (True, w), c.generators
+        seen.add((m, len(rref(c.generators)[1]) < m))
+    # pointed cones of every dimension, full and lower-dimensional
+    assert seen >= {(1, False), (2, False), (2, True), (3, False), (3, True)}
 
 
 def test_contains_nonzero_monotone_under_intersection():

@@ -22,6 +22,13 @@ TWO_THREE = {
                {"name": "blue", "generators": [[3]]}],
 }
 
+TWO_D = {
+    "dimension": 2,
+    "colors": [{"name": "red", "generators": [[1, 0], [1, 2]]},
+               {"name": "blue", "generators": [[1, 1], [0, 1]]}],
+    "targets": [[3, 4]],
+}
+
 EXAMPLE_ONE_DOC = {
     "dimension": 1,
     "colors": [{"name": "c1", "generators": [[9], [16]]},
@@ -42,6 +49,13 @@ def two_color_path(tmp_path):
 def two_three_path(tmp_path):
     p = tmp_path / "two_three.json"
     p.write_text(json.dumps(TWO_THREE))
+    return str(p)
+
+
+@pytest.fixture
+def two_d_path(tmp_path):
+    p = tmp_path / "two_d.json"
+    p.write_text(json.dumps(TWO_D))
     return str(p)
 
 
@@ -176,9 +190,15 @@ def test_cteg_verify_cli(capsys):
     assert "[0, 63, 64]" in out  # sixth row of the n=6 family
 
 
-def test_intersect_and_caratheodory_cli(two_color_path, capsys):
+def test_intersect_and_caratheodory_cli(two_color_path, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "intersect", two_color_path)
     assert code == 0 and "generators: [[15]]" in out
+    # one non-pointed color is its own intersection, with no element added
+    p = tmp_path / "line.json"
+    p.write_text(json.dumps({"dimension": 1, "colors": [
+        {"name": "a", "generators": [[-3], [2], [3]]}]}))
+    code, out, _ = run_cli(capsys, "intersect", str(p))
+    assert code == 0 and "generators: [[-3], [2], [3]]" in out
     code, out, _ = run_cli(capsys, "caratheodory", two_color_path)
     assert code == 0 and "target: [15]" in out
 
@@ -257,7 +277,8 @@ def test_json_reports_roundtrip(two_color_path, capsys):
 
 
 def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
-                                            example_one_path, capsys):
+                                            two_d_path, example_one_path,
+                                            capsys):
     golden = [
         (["solve", example_one_path], 0),
         (["classify", "--solution", "3,1,0,1,0,1", example_one_path], 0),
@@ -278,6 +299,9 @@ def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
         (["chromatic-frobenius", "--k", "2", two_color_path], 0),
         (["chromatic-frobenius", "--k", "5", two_color_path], 2),
         (["count", "--target", "23", "--k", "2", two_color_path], 0),
+        (["count", "--target", "3,4", "--k", "2", two_d_path], 0),
+        (["count", "--target", "3,4", "--k", "0", two_d_path], 2),
+        (["count", "--target", "3,4", "--k", "3", two_d_path], 2),
         (["quasipoly", "--k", "2", two_color_path], 0),
         (["quasipoly", "--k", "2", "--start", "0", two_color_path], 2),
         (["quasipoly", "--k", "2", "--start", "0", "--window", "0",
@@ -293,3 +317,34 @@ def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
         code = main(list(argv))
         capsys.readouterr()
         assert code == want, (argv, code, want)
+
+
+def test_no_lp_on_any_subcommand(two_d_path, example_one_path, capsys,
+                                 monkeypatch):
+    # pointedness comes from the double description; the exact LP is kept
+    # only as public API and test reference, so no report may need it
+    import chromatic_semigroups._simplex as simplex
+
+    def boom(*args):
+        raise AssertionError("the exact LP ran on a production path")
+
+    argvs = [
+        ["member", "--target", "3,4", two_d_path],
+        ["member", "--target=-1,2", two_d_path],
+        ["intersect", two_d_path],
+        ["caratheodory", two_d_path],
+        ["helly-audit", two_d_path],
+        ["tverberg", "--r", "2", two_d_path],
+        ["solve", two_d_path],
+        ["count", "--target", "3,4", "--k", "2", two_d_path],
+        ["hilbert", two_d_path],
+        ["member", "--target", "70", example_one_path],
+        ["intersect", example_one_path],
+        ["cteg", "--n", "4", "--verify"],
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "maximize", boom)
+        patched = [main(list(argv)) for argv in argvs]
+    plain = [main(list(argv)) for argv in argvs]
+    capsys.readouterr()
+    assert patched == plain
