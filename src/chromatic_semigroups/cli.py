@@ -1,18 +1,23 @@
 """Batch command-line front end.
 
-Every subcommand reads a JSON instance document (path or "-" for stdin),
-runs one computation, and writes a single report, as indented text by
-default or as JSON with --json; both carry the same numeric content.
+Every subcommand but `cteg` reads a JSON instance document (path or "-"
+for stdin), runs one computation, and writes a single report, as indented
+text by default or as JSON with --json; both carry the same numeric
+content.  Each subcommand is declared once, in the `_SUBCOMMANDS` table.
+`main` builds the subparser of the named subcommand only (all of them for
+`--help`, an unknown name or none) and reads the instance for the handler.
 
 Exit codes: 0 success; 1 definite negative on a decision subcommand
 (`member` false, `tverberg` miss under an unmet hypothesis); 2 usage or
-validation problem; 3 internal anomaly (a verified identity failed, which
-indicates a bug rather than a negative answer).
+validation problem, or an input too large for this machine; 3 internal
+anomaly (a verified identity failed, which indicates a bug rather than a
+negative answer).
 """
 
 import argparse
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .colored import (
@@ -29,7 +34,6 @@ from .diophantine import (
 )
 from .errors import (
     HypothesisUnmetError,
-    InstanceParseError,
     InstanceValidationError,
     SemigroupError,
     TheoremContractError,
@@ -54,16 +58,16 @@ _CASE_ASSERTIONS = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    names = [name for name in _SUBCOMMANDS if argv[:1] == [name]]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(names or list(_SUBCOMMANDS)).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    command = _SUBCOMMANDS[args.subcommand]
     try:
-        payload, negative = args.handler(args)
-    except (InstanceParseError, InstanceValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        doc = parse_instance(args.instance) if command.reads_instance else None
+        payload = {"subcommand": args.subcommand, **command.handler(doc, args)}
     except HypothesisUnmetError as exc:
         print(f"no result: {exc}", file=sys.stderr)
         return 1
@@ -73,121 +77,61 @@ def main(argv=None):
     except (SemigroupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(payload, indent=2) if args.json else "\n".join(_render(payload))
-    print(text)
-    return 1 if negative else 0
+    except (MemoryError, OverflowError, RecursionError) as exc:
+        print(f"error: input too large for this machine ({type(exc).__name__})",
+              file=sys.stderr)
+        return 2
+    print(json.dumps(payload, indent=2) if args.json
+          else "\n".join(_render(payload)))
+    return 1 if payload.get("member") is False else 0  # the one negative report
 
 
-def build_parser():
+def build_parser(names):
+    """The parser with the subparsers of `names` (table names, in order)."""
     parser = argparse.ArgumentParser(
         prog="chromsg",
         description="Exact computations with colored affine and numerical semigroups.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def cmd(name, handler, needs_instance=True, help=None):
-        p = sub.add_parser(name, help=help)
-        if needs_instance:
+    # A parser built for one subcommand still lists every name in its usage
+    # line.  The full parser lists them from its choices instead, so that its
+    # errors keep naming the argument "subcommand".
+    every = "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True,
+        metavar=None if len(names) == len(_SUBCOMMANDS) else every)
+    for name in names:
+        command = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=command.summary)
+        if command.reads_instance:
             p.add_argument("instance", help="instance document path, or - for stdin")
         p.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("solve", _run_solve, help="enumerate and classify all solutions")
-    p.add_argument("--target", action="append",
-                   help="comma-separated target vector (repeatable)")
-
-    p = cmd("classify", _run_classify, help="classify one solution vector")
-    p.add_argument("--solution", required=True,
-                   help="comma-separated multiplicities")
-    p.add_argument("--target", help="verify the solution hits this target")
-
-    p = cmd("member", _run_member, help="decide semigroup membership")
-    p.add_argument("--target", required=True)
-
-    cmd("intersect", _run_intersect,
-        help="minimal generators of the intersection of the color semigroups")
-
-    cmd("hilbert", _run_hilbert,
-        help="Hilbert basis of the homogeneous system A x = 0, x >= 0")
-
-    p = cmd("helly-audit", _run_helly, help="subset-intersection audit")
-    p.add_argument("--case", choices=sorted(_CASE_ASSERTIONS),
-                   default="general", help="case assertion for the family")
-    p.add_argument("--subset-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-subsets", type=int, default=None)
-
-    p = cmd("tverberg", _run_tverberg,
-            help="partition generators into blocks sharing an element")
-    p.add_argument("--r", type=int, required=True, help="number of blocks")
-
-    cmd("caratheodory", _run_caratheodory,
-        help="targets with per-color solutions but no all-color solution")
-
-    cmd("frobenius", _run_frobenius, help="classical Frobenius number")
-
-    cmd("gaps", _run_gaps, help="nonrepresentable nonnegative integers")
-
-    p = cmd("chromatic-frobenius", _run_chromatic_frobenius,
-            help="largest target with no k-color solution")
-    p.add_argument("--k", type=int, required=True)
-
-    p = cmd("count", _run_count, help="number of k-color solutions of a target")
-    p.add_argument("--target", required=True)
-    p.add_argument("--k", type=int, default=1)
-
-    p = cmd("quasipoly", _run_quasipoly,
-            help="fit the k-color solution count per residue class")
-    p.add_argument("--k", type=int, required=True)
-
-    p = cmd("cteg", _run_cteg, needs_instance=False,
-            help="build the single-color-expressions family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", action="store_true",
-                   help="exhaustively verify the expression count")
-
-    p = cmd("reduce", _run_reduce,
-            help="append a class with a predictable chromatic value")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=["a", "b"], required=True)
-
+        for flag, options in command.arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: handler(doc, args) -> report fields after "subcommand"
 
 
-def _run_solve(args):
-    doc = parse_instance(args.instance)
+def _run_solve(doc, args):
     colored = doc.to_colored_semigroup()
-    targets = [_vector_arg(t, doc.dimension) for t in args.target or []]
-    if not targets:
-        targets = list(doc.targets)
+    targets = ([_vector_arg(t, doc.dimension) for t in args.target or []]
+               or list(doc.targets))
     if not targets:
         raise InstanceValidationError("no targets given (flag or document)")
     results = []
     for b in targets:
         sols = enumerate_solutions(DiophantineInstance(colored.columns, b))
-        entries = []
-        for x in sols:
-            c = classify(colored, x)
-            entries.append({
-                "solution": list(x),
-                "colors_used": sorted(c.colors_used),
-                "chromatic_level": c.chromatic_level,
-                "monochromatic": c.is_monochromatic,
-                "chromatic": c.is_chromatic,
-                "colorful": c.is_colorful,
-            })
-        results.append({"target": list(b), "solution_count": len(sols),
-                        "solutions": entries})
-    return {"subcommand": "solve", "results": results}, False
+        results.append({
+            "target": list(b),
+            "solution_count": len(sols),
+            "solutions": [_classified(x, classify(colored, x)) for x in sols],
+        })
+    return {"results": results}
 
 
-def _run_classify(args):
-    doc = parse_instance(args.instance)
+def _run_classify(doc, args):
     colored = doc.to_colored_semigroup()
     x = _vector_arg(args.solution, len(colored.columns))
     if args.target is not None:
@@ -198,85 +142,69 @@ def _run_classify(args):
             raise InstanceValidationError(
                 f"solution reaches {list(hit)}, not {list(b)}")
     c = classify(colored, x)
-    payload = {
-        "subcommand": "classify",
+    return {**_classified(x, c), "labels": _labels(c)}
+
+
+def _classified(x, c):
+    return {
         "solution": list(x),
         "colors_used": sorted(c.colors_used),
         "chromatic_level": c.chromatic_level,
         "monochromatic": c.is_monochromatic,
         "chromatic": c.is_chromatic,
         "colorful": c.is_colorful,
-        "labels": _labels(c),
     }
-    return payload, False
 
 
 def _labels(c):
-    out = []
-    if c.is_monochromatic:
-        out.append("monochromatic")
-    if c.chromatic_level >= 2:
-        out.append(f"{c.chromatic_level}-chromatic")
-    if c.is_chromatic:
-        out.append("chromatic")
-    if c.is_colorful:
-        out.append("colorful")
-    if not c.is_chromatic:
-        out.append("not chromatic")
-    if not c.is_colorful:
-        out.append("not colorful")
-    return out
+    return [label for label, holds in (
+        ("monochromatic", c.is_monochromatic),
+        (f"{c.chromatic_level}-chromatic", c.chromatic_level >= 2),
+        ("chromatic", c.is_chromatic),
+        ("colorful", c.is_colorful),
+        ("not chromatic", not c.is_chromatic),
+        ("not colorful", not c.is_colorful),
+    ) if holds]
 
 
-def _run_member(args):
-    doc = parse_instance(args.instance)
+def _run_member(doc, args):
     b = _vector_arg(args.target, doc.dimension)
     found, witness = is_member(DiophantineInstance(doc.pooled_generators, b))
-    payload = {
-        "subcommand": "member",
+    return {
         "target": list(b),
         "member": found,
         "witness": list(witness) if witness else None,
     }
-    return payload, not found
 
 
-def _run_intersect(args):
-    doc = parse_instance(args.instance)
+def _run_intersect(doc, args):
     colored = doc.to_colored_semigroup()
     common = intersect_semigroup_family(
         colored.class_semigroup(i) for i in range(colored.n_colors))
-    payload = {
-        "subcommand": "intersect",
+    return {
         "dimension": doc.dimension,
         "generators": [list(g) for g in common.generators],
         "trivial": common.is_trivial,
     }
-    return payload, False
 
 
-def _run_hilbert(args):
-    doc = parse_instance(args.instance)
+def _run_hilbert(doc, args):
     cols = doc.pooled_generators
     rows = [tuple(col[j] for col in cols) for j in range(doc.dimension)]
     basis = hilbert_basis_homogeneous(rows)
-    payload = {
-        "subcommand": "hilbert",
+    return {
         "columns": [list(c) for c in cols],
         "basis": [list(z) for z in basis],
     }
-    return payload, False
 
 
-def _run_helly(args):
-    doc = parse_instance(args.instance)
+def _run_helly(doc, args):
     colored = doc.to_colored_semigroup()
     members = tuple(colored.class_semigroup(i) for i in range(colored.n_colors))
     family = SemigroupFamily(members, _CASE_ASSERTIONS[args.case])
     report = helly_audit(family, subset_size=args.subset_size,
                          seed=args.seed, max_subsets=args.max_subsets)
-    payload = {
-        "subcommand": "helly-audit",
+    return {
         "case_assertion": report.case_assertion,
         "case_size": report.case_size,
         "subset_size": report.subset_size,
@@ -288,30 +216,23 @@ def _run_helly(args):
         "seed": report.seed,
         "note": report.note,
     }
-    return payload, False
 
 
-def _run_tverberg(args):
-    doc = parse_instance(args.instance)
+def _run_tverberg(doc, args):
     s = AffineSemigroup(doc.dimension, doc.pooled_generators)
     report = tverberg_partition(s, args.r)
-    payload = {
-        "subcommand": "tverberg",
+    return {
         "generators": [list(g) for g in s.generators],
         "partition": [list(b) for b in report.partition],
         "common_element": list(report.common_element),
         "block_witnesses": [list(w) for w in report.block_witnesses],
         "hypothesis_met": report.hypothesis_met,
     }
-    return payload, False
 
 
-def _run_caratheodory(args):
-    doc = parse_instance(args.instance)
-    colored = doc.to_colored_semigroup()
-    report = caratheodory_exceptions(colored)
-    payload = {
-        "subcommand": "caratheodory",
+def _run_caratheodory(doc, args):
+    report = caratheodory_exceptions(doc.to_colored_semigroup())
+    return {
         "intersection_generators": [list(g) for g in
                                     report.intersection_generators],
         "candidates_checked": [list(b) for b in report.candidates_checked],
@@ -322,39 +243,30 @@ def _run_caratheodory(args):
         ],
         "note": report.note,
     }
-    return payload, False
 
 
-def _run_frobenius(args):
-    doc = parse_instance(args.instance)
+def _run_frobenius(doc, args):
     s = doc.to_numerical()
-    payload = {
-        "subcommand": "frobenius",
+    return {
         "generators": list(s.generators),
         "frobenius": frobenius(s.generators),
     }
-    return payload, False
 
 
-def _run_gaps(args):
-    doc = parse_instance(args.instance)
+def _run_gaps(doc, args):
     s = doc.to_numerical()
     gaps = gap_set(s.generators)
-    payload = {
-        "subcommand": "gaps",
+    return {
         "generators": list(s.generators),
         "gap_count": len(gaps),
         "gaps": list(gaps),
     }
-    return payload, False
 
 
-def _run_chromatic_frobenius(args):
-    doc = parse_instance(args.instance)
+def _run_chromatic_frobenius(doc, args):
     s = doc.to_numerical()
     report = chromatic_frobenius(s, args.k)
-    payload = {
-        "subcommand": "chromatic-frobenius",
+    return {
         "classes": [list(cls) for cls in s.classes],
         "k": report.k,
         "value": report.value,
@@ -363,52 +275,38 @@ def _run_chromatic_frobenius(args):
         "gap_set": list(report.gap_set),
         "note": report.note,
     }
-    return payload, False
 
 
-def _run_count(args):
-    doc = parse_instance(args.instance)
+def _run_count(doc, args):
     if not 1 <= args.k <= len(doc.colors):
         raise InstanceValidationError(
             f"--k must be between 1 and {len(doc.colors)}")
     b = _vector_arg(args.target, doc.dimension)
     if doc.dimension == 1:
-        s = doc.to_numerical()
-        count = count_k_chromatic(s, b[0], args.k)
+        count = count_k_chromatic(doc.to_numerical(), b[0], args.k)
     else:
         colored = doc.to_colored_semigroup()
         count = sum(
             1 for x in enumerate_solutions(
                 DiophantineInstance(colored.columns, b))
             if classify(colored, x).chromatic_level >= args.k)
-    payload = {
-        "subcommand": "count",
-        "target": list(b),
-        "k": args.k,
-        "count": count,
-    }
-    return payload, False
+    return {"target": list(b), "k": args.k, "count": count}
 
 
-def _run_quasipoly(args):
-    doc = parse_instance(args.instance)
-    s = doc.to_numerical()
-    qp = fit_quasipolynomial(s, args.k)
-    payload = {
-        "subcommand": "quasipoly",
+def _run_quasipoly(doc, args):
+    qp = fit_quasipolynomial(doc.to_numerical(), args.k)
+    return {
         "k": args.k,
         "period": qp.period,
         "threshold": qp.threshold,
         "constituents": [[_frac(c) for c in coeffs]
                          for coeffs in qp.constituents],
     }
-    return payload, False
 
 
-def _run_cteg(args):
+def _run_cteg(doc, args):
     fam = build_unique_expression_family(args.n)
     payload = {
-        "subcommand": "cteg",
         "n": fam.n,
         "target": list(fam.target),
         "rows": [[list(v) for v in row] for row in fam.rows],
@@ -422,15 +320,12 @@ def _run_cteg(args):
         if not report.matches:
             raise TheoremContractError(
                 "expression search disagrees with the family construction")
-    return payload, False
+    return payload
 
 
-def _run_reduce(args):
-    doc = parse_instance(args.instance)
-    s = doc.to_numerical()
-    report = build_reduction_instance(s, args.k, args.mode)
-    payload = {
-        "subcommand": "reduce",
+def _run_reduce(doc, args):
+    report = build_reduction_instance(doc.to_numerical(), args.k, args.mode)
+    return {
         "mode": report.mode,
         "base_classes": [list(cls) for cls in report.base.classes],
         "constructed_classes": [list(cls) for cls in
@@ -440,7 +335,67 @@ def _run_reduce(args):
         "computed": report.computed,
         "matches": report.matches,
     }
-    return payload, False
+
+
+# ---------------------------------------------------------------------------
+# the subcommand table
+
+
+_Subcommand = namedtuple(
+    "_Subcommand", "handler summary arguments reads_instance", defaults=((), True))
+
+
+# Each subcommand once, in the order `--help` lists them.  Entries hold the
+# `_run_*` handlers, never kernels: a handler looks its kernels up in this
+# module's globals at call time, so a kernel rebound there (a test's patch,
+# a tracing wrapper) still sees every call.
+_SUBCOMMANDS = {
+    "solve": _Subcommand(_run_solve, "enumerate and classify all solutions", (
+        ("--target", dict(action="append",
+                          help="comma-separated target vector (repeatable)")),)),
+    "classify": _Subcommand(_run_classify, "classify one solution vector", (
+        ("--solution", dict(required=True, help="comma-separated multiplicities")),
+        ("--target", dict(help="verify the solution hits this target")))),
+    "member": _Subcommand(_run_member, "decide semigroup membership", (
+        ("--target", dict(required=True)),)),
+    "intersect": _Subcommand(
+        _run_intersect,
+        "minimal generators of the intersection of the color semigroups"),
+    "hilbert": _Subcommand(
+        _run_hilbert, "Hilbert basis of the homogeneous system A x = 0, x >= 0"),
+    "helly-audit": _Subcommand(_run_helly, "subset-intersection audit", (
+        ("--case", dict(choices=sorted(_CASE_ASSERTIONS), default="general",
+                        help="case assertion for the family")),
+        ("--subset-size", dict(type=int, default=None)),
+        ("--seed", dict(type=int, default=None)),
+        ("--max-subsets", dict(type=int, default=None)))),
+    "tverberg": _Subcommand(
+        _run_tverberg, "partition generators into blocks sharing an element", (
+            ("--r", dict(type=int, required=True, help="number of blocks")),)),
+    "caratheodory": _Subcommand(
+        _run_caratheodory,
+        "targets with per-color solutions but no all-color solution"),
+    "frobenius": _Subcommand(_run_frobenius, "classical Frobenius number"),
+    "gaps": _Subcommand(_run_gaps, "nonrepresentable nonnegative integers"),
+    "chromatic-frobenius": _Subcommand(
+        _run_chromatic_frobenius, "largest target with no k-color solution", (
+            ("--k", dict(type=int, required=True)),)),
+    "count": _Subcommand(_run_count, "number of k-color solutions of a target", (
+        ("--target", dict(required=True)),
+        ("--k", dict(type=int, default=1)))),
+    "quasipoly": _Subcommand(
+        _run_quasipoly, "fit the k-color solution count per residue class", (
+            ("--k", dict(type=int, required=True)),)),
+    "cteg": _Subcommand(_run_cteg, "build the single-color-expressions family", (
+        ("--n", dict(type=int, required=True)),
+        ("--verify", dict(action="store_true",
+                          help="exhaustively verify the expression count"))),
+        reads_instance=False),
+    "reduce": _Subcommand(
+        _run_reduce, "append a class with a predictable chromatic value", (
+            ("--k", dict(type=int, required=True)),
+            ("--mode", dict(choices=["a", "b"], required=True)))),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ from .cones import (
     is_pointed,
 )
 from .diophantine import DiophantineInstance, hilbert_basis_homogeneous, is_member
-from .errors import DimensionMismatchError, NotPointedError, PointNotInConeError
+from .errors import (
+    DimensionMismatchError,
+    NotPointedError,
+    PointNotInConeError,
+    SemigroupError,
+)
 from .numerical import _member_table
 
 _SCALE_CAP = 10 ** 6
@@ -269,4 +274,4 @@ def scale_into(s, p):
         if found:
             return k
         k += 1
-    raise RuntimeError(f"no multiple of {p} found up to {_SCALE_CAP}")
+    raise SemigroupError(f"no multiple of {p} found up to {_SCALE_CAP}")

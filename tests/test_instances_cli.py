@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,12 @@ TWO_D = {
     "targets": [[3, 4]],
 }
 
+HUGE = {
+    "dimension": 1,
+    "colors": [{"name": "red", "generators": [[10 ** 18 + 3]]},
+               {"name": "blue", "generators": [[10 ** 18 + 9]]}],
+}
+
 EXAMPLE_ONE_DOC = {
     "dimension": 1,
     "colors": [{"name": "c1", "generators": [[9], [16]]},
@@ -56,6 +66,13 @@ def two_three_path(tmp_path):
 def two_d_path(tmp_path):
     p = tmp_path / "two_d.json"
     p.write_text(json.dumps(TWO_D))
+    return str(p)
+
+
+@pytest.fixture
+def huge_path(tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(HUGE))
     return str(p)
 
 
@@ -257,10 +274,10 @@ def test_anomaly_exit_code(two_color_path, capsys, monkeypatch):
     from chromatic_semigroups.errors import TheoremContractError
     import chromatic_semigroups.cli as cli_mod
 
-    def boom(args):
+    def boom(inst):
         raise TheoremContractError("forced for the exit-code contract")
 
-    monkeypatch.setitem(cli_mod.build_parser.__globals__, "_run_member", boom)
+    monkeypatch.setattr(cli_mod, "is_member", boom)
     code = main(["member", "--target", "8", two_color_path])
     captured = capsys.readouterr()
     assert code == 3
@@ -278,7 +295,7 @@ def test_json_reports_roundtrip(two_color_path, capsys):
 
 def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
                                             two_d_path, example_one_path,
-                                            capsys):
+                                            huge_path, capsys):
     golden = [
         (["solve", example_one_path], 0),
         (["classify", "--solution", "3,1,0,1,0,1", example_one_path], 0),
@@ -296,6 +313,7 @@ def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
         (["caratheodory", two_color_path], 0),
         (["frobenius", two_color_path], 0),
         (["gaps", two_color_path], 0),
+        (["frobenius", huge_path], 2),  # Schur-bounded table past sys.maxsize
         (["chromatic-frobenius", "--k", "2", two_color_path], 0),
         (["chromatic-frobenius", "--k", "5", two_color_path], 2),
         (["count", "--target", "23", "--k", "2", two_color_path], 0),
@@ -348,3 +366,51 @@ def test_no_lp_on_any_subcommand(two_d_path, example_one_path, capsys,
     plain = [main(list(argv)) for argv in argvs]
     capsys.readouterr()
     assert patched == plain
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError, RecursionError])
+def test_resource_errors_exit_2(two_color_path, capsys, monkeypatch, error):
+    import chromatic_semigroups.cli as cli_mod
+
+    def boom(generators):
+        raise error()
+
+    monkeypatch.setattr(cli_mod, "frobenius", boom)
+    code, out, err = run_cli(capsys, "frobenius", two_color_path)
+    assert code == 2 and out == ""
+    assert err == f"error: input too large for this machine ({error.__name__})\n"
+
+
+HELP_GOLDEN = Path(__file__).with_name("cli_help_golden.json")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help text recorded with CPython 3.11's argparse")
+def test_help_and_usage_text_golden(two_color_path, capsys, monkeypatch):
+    # argparse wraps help text at $COLUMNS; the golden file is 80 wide.
+    # Single-subcommand parsers must print the full parser's usage line.
+    monkeypatch.setenv("COLUMNS", "80")
+    rows = json.loads(HELP_GOLDEN.read_text())
+    for row in rows:
+        argv = [two_color_path if a == "<doc>" else a for a in row["argv"]]
+        code, out, err = run_cli(capsys, *argv)
+        got = {"argv": row["argv"], "code": code,
+               "stdout": out.replace(two_color_path, "<doc>"),
+               "stderr": err.replace(two_color_path, "<doc>")}
+        assert got == row
+    assert len(rows) == 20
+
+
+def test_module_entry_point_reads_sys_argv(two_color_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "chromatic_semigroups", *argv], env=env,
+            capture_output=True, text=True, timeout=60)
+
+    done = run("member", "--target", "8", two_color_path)
+    assert done.returncode == 0 and "member: true" in done.stdout
+    done = run("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: chromsg")

@@ -13,9 +13,11 @@ from chromatic_semigroups import (
     semigroup,
 )
 from chromatic_semigroups.colored import build_unique_expression_family
+from chromatic_semigroups import semigroups as semigroups_mod
 from chromatic_semigroups.errors import (
     DimensionMismatchError,
     PointNotInConeError,
+    SemigroupError,
 )
 from chromatic_semigroups.semigroups import intersect_semigroup_family
 
@@ -106,6 +108,13 @@ def test_scale_into_rejects_outside_points():
         scale_into(semigroup([(2, 0), (0, 3)]), (-1, 1))
     with pytest.raises(PointNotInConeError):
         scale_into(semigroup([(2,)]), (0,))
+
+
+def test_scale_into_cap_raises_package_error(monkeypatch):
+    # the least k with k*(1, 1) in <(1, 0), (1, 5)> is 5
+    monkeypatch.setattr(semigroups_mod, "_SCALE_CAP", 4)
+    with pytest.raises(SemigroupError, match="up to 4"):
+        scale_into(semigroup([(1, 0), (1, 5)]), (1, 1))
 
 
 def test_scale_into_returns_minimal_k():
