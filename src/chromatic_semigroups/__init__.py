@@ -56,6 +56,7 @@ from .instances import InstanceDocument, parse_instance
 from .numerical import (
     ColoredNumericalSemigroup,
     QuasiPolynomial,
+    apery_set,
     build_reduction_instance,
     check_frobenius_inequalities,
     chromatic_frobenius,

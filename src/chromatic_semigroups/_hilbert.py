@@ -15,6 +15,7 @@ from itertools import product
 from ._lattice import column_hnf, saturation_basis, solve_exact
 from ._linalg import dot, rref
 from .cones import _generator_description
+from .errors import TheoremContractError
 
 
 def hilbert_basis_pointed(rows, k):
@@ -26,7 +27,7 @@ def hilbert_basis_pointed(rows, k):
         ineqs.append(tuple(-c for c in r))
     lin, rays = _generator_description(tuple(ineqs), k)
     if lin:
-        raise AssertionError("cone inside the orthant cannot contain a line")
+        raise TheoremContractError("orthant cone contains a line")
     if not rays:
         return ()
     sat = saturation_basis(rays, k)
@@ -76,18 +77,18 @@ def _parallelepiped_points(cell, sat):
     """
     t = len(cell)
     if len(sat) != t:
-        raise AssertionError("cell does not span the saturated lattice")
+        raise TheoremContractError("cell does not span the saturated lattice")
     coord_cols = []
     for r in cell:
         coords = solve_exact(sat, r)
         if coords is None or any(c.denominator != 1 for c in coords):
-            raise AssertionError("ray escapes the saturated lattice")
+            raise TheoremContractError("ray escapes the saturated lattice")
         coord_cols.append(tuple(int(c) for c in coords))
     c_rows = [tuple(col[i] for col in coord_cols) for i in range(t)]
     h, _ = column_hnf(c_rows)
     diag = [h[i][i] for i in range(t)]
     if any(d <= 0 for d in diag):
-        raise AssertionError("cell rays are linearly dependent")
+        raise TheoremContractError("cell rays are linearly dependent")
     # integer adjugate over the common denominator D = |det C|, so the box
     # scan below stays in integer arithmetic
     denom = 1

@@ -81,8 +81,7 @@ def main(argv=None):
         print(f"error: input too large for this machine ({type(exc).__name__})",
               file=sys.stderr)
         return 2
-    print(json.dumps(payload, indent=2) if args.json
-          else "\n".join(_render(payload)))
+    print(_dumps(payload) if args.json else "\n".join(_render(payload)))
     return 1 if payload.get("member") is False else 0  # the one negative report
 
 
@@ -418,6 +417,24 @@ def _frac(value):
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
     return int(value)
+
+
+_INDENTED = json.JSONEncoder(indent=2).encode
+_INT_LINES = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
+def _dumps(payload):
+    """`json.dumps(payload, indent=2)` byte for byte.  Indenting runs json's
+    pure-Python encoder, so flat int lists (gap sets run to millions) take
+    the C encoder with the separators that indenting would put in."""
+    fields = []
+    for key, val in payload.items():
+        if isinstance(val, list) and set(map(type, val)) == {int}:
+            text = "[\n    " + _INT_LINES(val)[1:-1] + "\n  ]"
+        else:
+            text = _INDENTED(val).replace("\n", "\n  ")
+        fields.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def _render(payload, indent=0):

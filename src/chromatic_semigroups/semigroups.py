@@ -9,7 +9,7 @@ is then reduced to the minimal generating set.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from ._linalg import is_zero, vec_scale
 from .cones import (
@@ -27,7 +27,7 @@ from .errors import (
     PointNotInConeError,
     SemigroupError,
 )
-from .numerical import _member_table
+from .numerical import _member_table, frobenius
 
 _SCALE_CAP = 10 ** 6
 
@@ -171,57 +171,33 @@ def _drop_generated(dim, points):
 def _numerical_intersection(value_blocks):
     """Minimal generators of the common set of several numerical monoids.
 
-    Each monoid is cofinite inside (gcd of its generators) * Z, so the
-    intersection is cofinite inside L * Z for L the lcm of those gcds; the
-    membership tables are intersected up to a bound that provably covers
-    every minimal generator, then reducible elements are dropped.
+    Each monoid holds every multiple of its gcd g above g * F(generators /
+    g), so the intersection holds every multiple of L = lcm(gcds) above the
+    largest such product C.  Its least element m <= C + L plus its last gap
+    bounds the minimal generators by 2C + L, where the tables stop.
     """
-    gcds = [0] * len(value_blocks)
-    for i, block in enumerate(value_blocks):
-        for v in block:
-            gcds[i] = gcd(gcds[i], v)
-    period = 1
-    for g in gcds:
-        period = period * g // gcd(period, g)
-
-    bound = 4 * period + max(v for b in value_blocks for v in b) * 4
-    while True:
-        common = bytearray(bound + 1)
-        common[0] = 1
-        for v in range(period, bound + 1, period):
-            common[v] = 1
-        for block in value_blocks:
-            table = _member_table(tuple(block), bound)
-            for v in range(bound + 1):
-                if common[v] and not table[v]:
-                    common[v] = 0
-        smallest = next((v for v in range(period, bound + 1, period)
-                         if common[v]), None)
-        if smallest is None:
-            bound *= 2
-            continue
-        largest_gap = 0
-        for v in range(bound - bound % period, 0, -period):
-            if not common[v]:
-                largest_gap = v
-                break
-        # verified when a full run of `smallest` consecutive multiples sits
-        # above the last gap: everything beyond is closed under +smallest
-        if largest_gap + smallest + period <= bound and \
-                all(common[v] for v in range(largest_gap + period,
-                                             largest_gap + smallest + period,
-                                             period)):
-            break
-        bound *= 2
+    gcds = [gcd(*block) for block in value_blocks]
+    period = lcm(*gcds)
+    gap_bound = max(g * frobenius([v // g for v in block])
+                    for g, block in zip(gcds, value_blocks))
+    bound = 2 * max(gap_bound, 0) + period
+    common = bytearray(bound + 1)
+    common[0] = 1
+    for v in range(period, bound + 1, period):
+        common[v] = 1
+    for block in value_blocks:
+        table = _member_table(tuple(block), bound)
+        for v in range(bound + 1):
+            if common[v] and not table[v]:
+                common[v] = 0
+    smallest = next(v for v in range(period, bound + 1, period) if common[v])
+    largest_gap = next((v for v in range(gap_bound - gap_bound % period, 0,
+                                         -period) if not common[v]), 0)
     top = largest_gap + smallest
-    gens = []
     members = [v for v in range(period, top + 1, period) if common[v]]
     member_set = set(members)
-    for v in members:
-        reducible = any(u < v and (v - u) in member_set for u in members)
-        if not reducible:
-            gens.append((v,))
-    return tuple(g[0] for g in gens)
+    return tuple(v for v in members
+                 if not any(u < v and v - u in member_set for u in members))
 
 
 def family_intersection_nontrivial(family):

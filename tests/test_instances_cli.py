@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chromatic_semigroups import parse_instance
-from chromatic_semigroups.cli import main
+from chromatic_semigroups.cli import _dumps, main
 from chromatic_semigroups.errors import (
     InstanceParseError,
     InstanceValidationError,
@@ -37,6 +39,13 @@ HUGE = {
     "dimension": 1,
     "colors": [{"name": "red", "generators": [[10 ** 18 + 3]]},
                {"name": "blue", "generators": [[10 ** 18 + 9]]}],
+}
+
+# F = 998999999999 from residue minima mod 1000, behind about 5e11 gaps
+WIDE = {
+    "dimension": 1,
+    "colors": [{"name": "red", "generators": [[1000]]},
+               {"name": "blue", "generators": [[10 ** 9 + 1]]}],
 }
 
 EXAMPLE_ONE_DOC = {
@@ -73,6 +82,13 @@ def two_d_path(tmp_path):
 def huge_path(tmp_path):
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(HUGE))
+    return str(p)
+
+
+@pytest.fixture
+def wide_path(tmp_path):
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(WIDE))
     return str(p)
 
 
@@ -293,9 +309,22 @@ def test_json_reports_roundtrip(two_color_path, capsys):
         assert json.loads(json.dumps(payload)) == payload
 
 
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False) | st.text())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner)
+    | st.dictionaries(st.text(), inner), max_leaves=20)
+
+
+@given(st.dictionaries(st.text(), JSON_VALUES | st.lists(st.integers()),
+                       min_size=1))
+def test_json_report_text_is_json_dumps_indent_2(payload):
+    assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
 def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
                                             two_d_path, example_one_path,
-                                            huge_path, capsys):
+                                            huge_path, wide_path, capsys):
     golden = [
         (["solve", example_one_path], 0),
         (["classify", "--solution", "3,1,0,1,0,1", example_one_path], 0),
@@ -313,7 +342,10 @@ def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
         (["caratheodory", two_color_path], 0),
         (["frobenius", two_color_path], 0),
         (["gaps", two_color_path], 0),
-        (["frobenius", huge_path], 2),  # Schur-bounded table past sys.maxsize
+        (["frobenius", huge_path], 2),  # smallest generator past the cap
+        (["frobenius", wide_path], 0),
+        (["gaps", wide_path], 2),  # gap count past the cap
+        (["chromatic-frobenius", "--k", "2", wide_path], 2),
         (["chromatic-frobenius", "--k", "2", two_color_path], 0),
         (["chromatic-frobenius", "--k", "5", two_color_path], 2),
         (["count", "--target", "23", "--k", "2", two_color_path], 0),
@@ -335,6 +367,21 @@ def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
         code = main(list(argv))
         capsys.readouterr()
         assert code == want, (argv, code, want)
+    code, out, _ = run_cli(capsys, "frobenius", wide_path)
+    assert "frobenius: 998999999999" in out
+
+
+def test_hilbert_invariant_failure_is_an_anomaly(two_color_path, capsys,
+                                                 monkeypatch):
+    # a double description with a line inside the orthant can only come
+    # from a bug, which the CLI reports as exit 3, not as a traceback
+    import chromatic_semigroups._hilbert as hilbert_mod
+
+    monkeypatch.setattr(hilbert_mod, "_generator_description",
+                        lambda ineqs, k: (((1,) * k,), ()))
+    code, out, err = run_cli(capsys, "hilbert", two_color_path)
+    assert code == 3 and out == ""
+    assert err == "anomaly: orthant cone contains a line\n"
 
 
 def test_no_lp_on_any_subcommand(two_d_path, example_one_path, capsys,

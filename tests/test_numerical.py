@@ -1,12 +1,17 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations, product
 from math import factorial, gcd, lcm, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chromatic_semigroups import (
     ColoredNumericalSemigroup,
     DiophantineInstance,
+    apery_set,
     build_reduction_instance,
     check_frobenius_inequalities,
     chromatic_frobenius,
@@ -22,7 +27,7 @@ from chromatic_semigroups import (
     singleton_formula_check,
 )
 from chromatic_semigroups.colored import ColoredSemigroup
-from chromatic_semigroups.errors import NotPrimitiveError
+from chromatic_semigroups.errors import NotPrimitiveError, SemigroupError
 
 
 def random_instance(rng, max_ell=4, max_gen=30):
@@ -98,6 +103,92 @@ def test_frobenius_and_gaps_match_closure_random():
         assert all(v in reached for v in range(top + 1, top + values[0] + 1))
         assert frobenius(values) == top
         assert gap_set(values) == tuple(gaps)
+
+
+# ---------------------------------------------------------------------------
+# residue minima against dense reach tables
+
+
+def dense_reach(gens, bound):
+    """Which of 0..bound the generators represent, by a coin DP over every
+    value (a different algorithm from the residue minima under test)."""
+    table = [True] + [False] * bound
+    for a in gens:
+        for v in range(a, bound + 1):
+            table[v] = table[v] or table[v - a]
+    return table
+
+
+@st.composite
+def colored_semigroups(draw):
+    """1-5 disjoint classes of generators up to 60, with gcd 1."""
+    values = draw(st.lists(st.integers(1, 60), min_size=1, max_size=8,
+                           unique=True).filter(lambda v: gcd(*v) == 1))
+    ell = draw(st.integers(1, min(5, len(values))))
+    classes = [[v] for v in values[:ell]]
+    for v in values[ell:]:
+        classes[draw(st.integers(0, ell - 1))].append(v)
+    return ColoredNumericalSemigroup(tuple(tuple(c) for c in classes))
+
+
+@given(colored_semigroups())
+def test_apery_frobenius_gaps_match_dense_scan(s):
+    gens = s.generators
+    a = gens[0]
+    # Schur: F <= (a - 1)(max - 1) - 1, and each Apery element is at most
+    # F + a
+    bound = (a - 1) * (gens[-1] - 1) + a
+    table = dense_reach(gens, bound)
+    gaps = tuple(v for v in range(bound + 1) if not table[v])
+    assert apery_set(gens) == tuple(
+        next(v for v in range(r, bound + 1, a) if table[v]) for r in range(a))
+    assert frobenius(gens) == max(gaps, default=-1)
+    assert gap_set(gens) == gaps
+
+
+@given(colored_semigroups())
+def test_chromatic_frobenius_and_membership_match_dense_scan(s):
+    gens = s.generators
+    table = dense_reach(gens, (gens[0] - 1) * (gens[-1] - 1))
+    f = max((v for v, hit in enumerate(table) if not hit), default=-1)
+    for k in range(1, s.n_colors + 1):
+        offsets = sorted({sum(pick) for chosen in combinations(s.classes, k)
+                          for pick in product(*chosen)})
+        upper = offsets[0] + f
+        # past upper, b - min(offsets) > F is a member; scan 60 beyond it
+        reach = dense_reach(gens, upper + 60)
+        hit = [any(v <= b and reach[b - v] for v in offsets)
+               for b in range(upper + 61)]
+        gaps = tuple(b for b in range(upper + 61) if not hit[b])
+        rep = chromatic_frobenius(s, k)
+        assert rep.offsets == tuple(offsets)
+        assert (rep.lower_bound, rep.upper_bound) == (offsets[0] - 1, upper)
+        assert rep.gap_set == gaps
+        assert rep.value == gaps[-1]
+        assert [k_chromatic_member(s, b, k) for b in range(upper + 61)] == hit
+
+
+def test_singleton_formula_large_classes_is_fast():
+    start = time.perf_counter()
+    r = singleton_formula_check([10007, 10009, 10037])
+    # about 1 s on a 2-core Xeon VM; a reach table over the 6.8 million
+    # targets below the chromatic upper bound would take tens of seconds
+    assert time.perf_counter() - start < 20
+    assert r.matches and r.computed_value == 6844814
+
+
+def test_size_caps_refuse_before_allocating():
+    with pytest.raises(SemigroupError, match="exceeds the cap"):
+        apery_set([10 ** 18 + 3, 10 ** 18 + 9])
+    with pytest.raises(SemigroupError, match="exceeds the cap"):
+        k_chromatic_member(colored_numerical([10 ** 9 + 7], [10 ** 9 + 9]),
+                           0, 1)
+    # about 5e11 gaps behind a Frobenius number that the minima give at once
+    assert frobenius([1000, 10 ** 9 + 1]) == 998999999999
+    with pytest.raises(SemigroupError, match="gaps exceed the cap"):
+        gap_set([1000, 10 ** 9 + 1])
+    with pytest.raises(SemigroupError, match="gaps exceed the cap"):
+        chromatic_frobenius(colored_numerical([1000], [10 ** 9 + 1]), 2)
 
 
 def test_chromatic_offsets():

@@ -1,6 +1,9 @@
 import random
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chromatic_semigroups import (
     cone_of,
@@ -154,6 +157,30 @@ def test_intersection_matches_bruteforce_random():
         for i, g in enumerate(got.generators):
             others = tuple(h for j, h in enumerate(got.generators) if j != i)
             assert g not in closure(others, 1, sum(g))
+
+
+def reach(gens, top):
+    """The values in [0, top] that the positive integers `gens` reach."""
+    hit = [True] + [False] * top
+    for a in gens:
+        for v in range(a, top + 1):
+            hit[v] = hit[v] or hit[v - a]
+    return {v for v in range(top + 1) if hit[v]}
+
+
+@given(st.lists(st.lists(st.integers(1, 15), min_size=1, max_size=3),
+                min_size=2, max_size=3))
+def test_numerical_intersection_matches_reach_tables(blocks):
+    got = intersect_semigroup_family(
+        [semigroup([(v,) for v in block]) for block in blocks])
+    gens = [g[0] for g in got.generators]
+    # block gcd g and Frobenius number F of block / g give g * F < 15 ** 2,
+    # so every minimal generator is below 2 * 15 ** 2 + lcm(gcds)
+    top = 2 * 15 ** 2 + lcm(*(gcd(*block) for block in blocks))
+    assert reach(gens, top) == set.intersection(
+        *(reach(block, top) for block in blocks))
+    for g in gens:
+        assert g not in reach([h for h in gens if h != g], g)
 
 
 def test_cone_commutes_with_intersection():
