@@ -28,13 +28,6 @@ def is_zero(v):
     return all(a == 0 for a in v)
 
 
-def vec_gcd(v):
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
-
-
 def primitive(v):
     """Scale a nonzero rational vector by a positive factor to coprime ints.
 
@@ -48,7 +41,7 @@ def primitive(v):
         ints = tuple(int(a * mult) for a in v)
     else:
         ints = tuple(int(a) for a in v)
-    g = vec_gcd(ints)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(a // g for a in ints)

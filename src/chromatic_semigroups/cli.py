@@ -460,6 +460,8 @@ def _fmt(val):
     if isinstance(val, bool):
         return "true" if val else "false"
     if isinstance(val, list):
+        if set(map(type, val)) == {int}:  # gap sets: list repr runs in C
+            return str(val)
         return "[" + ", ".join(_fmt(v) for v in val) + "]"
     return str(val)
 

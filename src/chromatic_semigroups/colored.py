@@ -14,7 +14,7 @@ from ._linalg import is_zero, vec_add, vec_sub
 from .cones import cone, is_pointed
 from .diophantine import DiophantineInstance, enumerate_solutions, is_member
 from .errors import NotPointedError, TheoremContractError
-from .numerical import _member_table
+from .numerical import _MODULUS_CAP, _residue_minima
 from .semigroups import AffineSemigroup, intersect_semigroup_family
 
 
@@ -112,15 +112,14 @@ def find_k_chromatic(s, b, k):
     if not 1 <= k <= s.n_colors:
         raise ValueError(f"k must be between 1 and {s.n_colors}")
     _require_pointed(s)
+    query = _membership_query(s)
     b = tuple(b)
-    if s.dimension == 1 and all(col[0] > 0 for col in s.columns):
-        return _find_k_chromatic_positive(s, b[0], k)
     for chosen in combinations(range(s.n_colors), k):
         for pick in product(*[s.classes[i] for i in chosen]):
             residual = b
             for i in pick:
                 residual = vec_sub(residual, s.columns[i])
-            found, x = is_member(DiophantineInstance(s.columns, residual))
+            found, x = query(residual)
             if found:
                 full = list(x)
                 for i in pick:
@@ -129,31 +128,33 @@ def find_k_chromatic(s, b, k):
     return None
 
 
-def _find_k_chromatic_positive(s, b, k):
-    """Dense-table variant for positive one-dimensional columns."""
-    if b < 0:
-        return None
+def _membership_query(s):
+    """residual -> (found, solution over all columns), as is_member answers.
+
+    Positive 1-D columns read membership off the residue minima, r >= m[r
+    mod a] (m is inf on the classes no sum reaches, as when the columns
+    share a gcd), and the witness takes at each step the first column that
+    leaves a member; other columns ask the pruned search.
+    """
     values = tuple(col[0] for col in s.columns)
-    bound = 1
-    while bound < max(b, 1):
-        bound *= 2
-    table = _member_table(values, bound)
-    for chosen in combinations(range(s.n_colors), k):
-        for pick in product(*[s.classes[i] for i in chosen]):
-            v = sum(values[i] for i in pick)
-            if v <= b and table[b - v]:
-                full = [0] * len(values)
-                r = b - v
-                while r:
-                    for i, a in enumerate(values):
-                        if a <= r and table[r - a]:
-                            full[i] += 1
-                            r -= a
-                            break
-                for i in pick:
-                    full[i] += 1
-                return tuple(full)
-    return None
+    if s.dimension != 1 or not 0 < min(values) <= _MODULUS_CAP:
+        return lambda r: is_member(DiophantineInstance(s.columns, r))
+    minima = _residue_minima(values, (0,))
+
+    def member(r):
+        return r >= minima[r % len(minima)]
+
+    def walk(residual):
+        r = residual[0]
+        if not member(r):
+            return False, None
+        x = [0] * len(values)
+        while r:
+            i = next(i for i, v in enumerate(values) if member(r - v))
+            x[i] += 1
+            r -= values[i]
+        return True, x
+    return walk
 
 
 def find_colorful(s, b):

@@ -10,10 +10,9 @@ assertion is trusted, pointedness is checked.
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb
 
-from ._linalg import vec_neg, vec_scale
-from .cones import contains_nonzero, intersect_cones
+from ._linalg import vec_neg
 from .errors import (
     CaseAssertionError,
     DimensionMismatchError,
@@ -23,11 +22,9 @@ from .errors import (
 )
 from .semigroups import (
     AffineSemigroup,
-    cone_of,
     family_intersection_nontrivial,
     is_pointed_semigroup,
     member,
-    scale_into,
 )
 
 FULL_AUDIT_LIMIT = 12
@@ -275,15 +272,9 @@ def tverberg_partition(s, r):
             blocks[lab].append(idx)
         block_sgs = [AffineSemigroup(d, tuple(gens[i] for i in blk))
                      for blk in blocks]
-        inter = intersect_cones([cone_of(b) for b in block_sgs])
-        nonzero, ray = contains_nonzero(inter)
+        nonzero, p = family_intersection_nontrivial(block_sgs)
         if not nonzero:
             continue
-        scale = 1
-        for b in block_sgs:
-            kk = scale_into(b, ray)
-            scale = scale * kk // gcd(scale, kk)
-        p = vec_scale(scale, ray)
         witnesses = []
         for b in block_sgs:
             found, x = member(b, p)

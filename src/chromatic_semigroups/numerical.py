@@ -50,9 +50,7 @@ class ColoredNumericalSemigroup:
                 if a in seen:
                     raise ValueError(f"generator {a} appears in two classes")
                 seen.add(a)
-        g = 0
-        for a in seen:
-            g = gcd(g, a)
+        g = gcd(*seen)
         if g != 1:
             raise NotPrimitiveError(f"gcd of the generators is {g}, not 1")
 
@@ -84,9 +82,7 @@ def _check_primitive(vals):
     vals = tuple(sorted(set(int(v) for v in vals)))
     if not vals or any(v < 1 for v in vals):
         raise ValueError("generators must be positive integers")
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
+    g = gcd(*vals)
     if g != 1:
         raise NotPrimitiveError(f"gcd of {vals} is {g}, not 1")
     return vals
@@ -186,10 +182,14 @@ class ChromaticFrobeniusReport:
     def __post_init__(self):
         if self.gap_set and max(self.gap_set) != self.value:
             raise TheoremContractError("gap set maximum differs from the value")
-        if not self.lower_bound <= self.value <= self.upper_bound:
-            raise TheoremContractError(
-                f"chromatic Frobenius value {self.value} escapes the bounds "
-                f"[{self.lower_bound}, {self.upper_bound}]")
+        _check_bounds(self.value, self.lower_bound, self.upper_bound)
+
+
+def _check_bounds(value, lower, upper):
+    if not lower <= value <= upper:
+        raise TheoremContractError(
+            f"chromatic Frobenius value {value} escapes the bounds "
+            f"[{lower}, {upper}]")
 
 
 def chromatic_frobenius(s, k):
@@ -212,6 +212,15 @@ def chromatic_frobenius(s, k):
     )
 
 
+def _chromatic_value(s, k):
+    """The value of chromatic_frobenius(s, k) and its bound checks, read off
+    the minima without listing the gaps."""
+    offsets = chromatic_offsets(s, k)
+    value = max(_residue_minima(s.generators, offsets)) - min(s.generators)
+    _check_bounds(value, offsets[0] - 1, offsets[0] + frobenius(s.generators))
+    return value
+
+
 @dataclass(frozen=True)
 class SingletonFormulaReport:
     values: tuple
@@ -228,7 +237,7 @@ def singleton_formula_check(values):
         raise ValueError("singleton classes must be distinct")
     s = ColoredNumericalSemigroup(tuple((v,) for v in vals))
     formula = sum(vals) + frobenius(vals)
-    computed = chromatic_frobenius(s, s.n_colors).value
+    computed = _chromatic_value(s, s.n_colors)
     return SingletonFormulaReport(vals, formula, computed, formula == computed)
 
 
@@ -269,8 +278,8 @@ def check_frobenius_inequalities(s, k=1, class_index=None):
     cf_k = cf_k1 = -1
     mono_holds = True
     if mono_applicable:
-        cf_k = chromatic_frobenius(s, k).value
-        cf_k1 = chromatic_frobenius(s, k + 1).value
+        cf_k = _chromatic_value(s, k)
+        cf_k1 = _chromatic_value(s, k + 1)
         mono_holds = cf_k <= cf_k1
     sandwich_applicable = class_index is not None and ell >= 2
     cf_full = cf_del = min_del = f_rest = -1
@@ -282,8 +291,8 @@ def check_frobenius_inequalities(s, k=1, class_index=None):
         rest_values = tuple(a for cls in rest for a in cls)
         f_rest = frobenius(rest_values)  # raises NotPrimitiveError if gcd != 1
         deleted = ColoredNumericalSemigroup(rest)
-        cf_full = chromatic_frobenius(s, ell).value
-        cf_del = chromatic_frobenius(deleted, ell - 1).value
+        cf_full = _chromatic_value(s, ell)
+        cf_del = _chromatic_value(deleted, ell - 1)
         min_del = min(s.classes[class_index])
         first = cf_full <= cf_del + min_del
         second = cf_del + min_del <= cf_full + f_rest + 1
@@ -336,8 +345,8 @@ def build_reduction_instance(s, k, mode):
             # members act like new generators), so the identity is only
             # guaranteed in the singleton case
             raise ValueError('mode "a" requires singleton classes')
-        cf_k = chromatic_frobenius(s, k).value
-        cf_k1 = chromatic_frobenius(s, k + 1).value
+        cf_k = _chromatic_value(s, k)
+        cf_k1 = _chromatic_value(s, k + 1)
         b = max(2 * (cf_k1 - cf_k), 2 * cf_k) + 1
         if b % 2 == 0:
             b += 1
@@ -347,18 +356,18 @@ def build_reduction_instance(s, k, mode):
             b += 2
         constructed = ColoredNumericalSemigroup(doubled + ((b,),))
         predicted = 2 * cf_k + b
-        computed = chromatic_frobenius(constructed, k + 1).value
+        computed = _chromatic_value(constructed, k + 1)
     elif mode == "b":
         if k != ell:
             raise ValueError('mode "b" needs k equal to the number of classes')
-        cf = chromatic_frobenius(s, ell).value
+        cf = _chromatic_value(s, ell)
         b = cf + 1
         existing = set(s.generators)
         while b in existing:
             b += 1
         constructed = ColoredNumericalSemigroup(s.classes + ((b,),))
         predicted = cf + b
-        computed = chromatic_frobenius(constructed, ell + 1).value
+        computed = _chromatic_value(constructed, ell + 1)
     else:
         raise ValueError(f'unknown mode {mode!r}; expected "a" or "b"')
     report = ReductionReport(mode, s, constructed, b, predicted, computed)

@@ -2,9 +2,12 @@
 
 `bench/tracing.py` wraps package functions by name and leaves out the
 metrics of any function it cannot find, so deleting or renaming a traced
-kernel silently drops per-layer metrics from a benchmark run.  This test
+kernel silently drops per-layer metrics from a benchmark run.  One test
 installs the tracer as a benchmark job does and checks that every
-per-layer metric named in BENCHMARK.json can still be derived.
+per-layer metric named in BENCHMARK.json can still be derived.  Another
+runs one cycle of traced jobs per workload and applies the layer checks
+of a traced benchmark run, which fail when a workload stops calling a
+layer its purpose names (or calls one it must not).
 """
 
 import json
@@ -44,3 +47,54 @@ def test_tracer_derives_every_per_layer_metric():
     assert run.returncode == 0, run.stderr
     got = set(json.loads(run.stdout))
     assert sorted(want - got) == []
+
+
+# runs in a child interpreter, which imports bench/ but never the package:
+# each job runs in a fresh bench/child.py, as in a traced benchmark run
+CYCLE_PROBE = r"""
+import json, os, subprocess, sys, tempfile
+root, seed = sys.argv[1], int(sys.argv[2])
+sys.path.insert(0, root)
+from bench import oracles, tracing, workloads
+problems = []
+with tempfile.TemporaryDirectory() as tmp:
+    for workload, cycle in workloads.CYCLES.items():
+        stats = tracing.LayerStats()
+        for i in range(len(cycle)):  # level 0 of every job kind
+            job = workloads.job(workload, seed, i)
+            argv = list(job.args)
+            if job.doc is not None:
+                argv.append(os.path.join(tmp, "doc.json"))
+                with open(argv[-1], "w", encoding="utf-8") as fh:
+                    json.dump(job.doc, fh)
+            req = {"id": i, "argv": argv + ["--json"],
+                   "report": os.path.join(tmp, "report.json"),
+                   "spans": os.path.join(tmp, "spans.json")}
+            run = subprocess.run(
+                [sys.executable, os.path.join(root, "bench", "child.py"),
+                 json.dumps(req)], capture_output=True, text=True, timeout=120)
+            rc = json.loads(run.stdout.splitlines()[-1])["rc"]
+            with open(req["report"], encoding="utf-8") as fh:
+                report = fh.read()
+            try:
+                job.verify(rc, json.loads(report) if report else None)
+            except (oracles.Mismatch, ValueError, KeyError, TypeError) as exc:
+                problems.append(f"{workload} {job.kind}: {exc!r}")
+            with open(req["spans"], encoding="utf-8") as fh:
+                stats.add(json.load(fh))
+        # the rules of bench/run.py layer_checks
+        for name in tracing.REQUIRED_CALLS[workload]:
+            if name in stats.installed and not stats.calls.get(name):
+                problems.append(f"{workload} never calls {name}")
+        for name in tracing.FORBIDDEN_CALLS.get(workload, ()):
+            if stats.calls.get(name):
+                problems.append(f"{workload} calls {name}")
+print(json.dumps(problems))
+"""
+
+
+def test_one_traced_cycle_per_workload_passes_the_layer_checks():
+    run = subprocess.run([sys.executable, "-c", CYCLE_PROBE, ROOT, "1"],
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == []

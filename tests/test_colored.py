@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -235,6 +236,58 @@ def test_find_k_chromatic_matches_enumeration_oracle():
             if got is not None:
                 assert sum(got[i] * s.columns[i][0] for i in range(len(got))) == b[0]
                 assert classify(s, got).chromatic_level >= k
+            assert got == _dense_walk(s, b[0], k)
+    # gcd > 1 and one value under two colors
+    for _ in range(30):
+        g = rng.choice((2, 3))
+        values = [g * rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+        values.append(values[0])
+        ell = rng.randint(2, len(values))
+        labels = [0, *(rng.randrange(ell) for _ in values[2:]), 1]
+        labels[1:ell] = range(1, ell)  # every class nonempty
+        s = ColoredSemigroup(1, tuple((v,) for v in values), tuple(
+            tuple(i for i, c in enumerate(labels) if c == j)
+            for j in range(ell)))
+        b = rng.randint(0, 30)
+        sols = enumerate_solutions(DiophantineInstance(s.columns, (b,)))
+        for k in range(1, ell + 1):
+            got = find_k_chromatic(s, (b,), k)
+            oracle = any(classify(s, x).chromatic_level >= k for x in sols)
+            assert (got is not None) == oracle
+            assert got == _dense_walk(s, b, k)
+
+
+def _dense_walk(s, b, k):
+    """The witness of a dense reach table over 0..b of positive 1-D
+    columns: the first offset pick whose residual is reachable, then at each
+    step the first column whose removal leaves a reachable residual."""
+    values = [col[0] for col in s.columns]
+    reach = [True] + [False] * b
+    for v in range(1, b + 1):
+        reach[v] = any(a <= v and reach[v - a] for a in values)
+    for chosen in combinations(range(s.n_colors), k):
+        for pick in product(*[s.classes[i] for i in chosen]):
+            r = b - sum(values[i] for i in pick)
+            if r < 0 or not reach[r]:
+                continue
+            x = [0] * len(values)
+            for i in pick:
+                x[i] += 1
+            while r:
+                i = next(i for i, a in enumerate(values)
+                         if a <= r and reach[r - a])
+                x[i] += 1
+                r -= values[i]
+            return tuple(x)
+    return None
+
+
+def test_find_k_chromatic_columns_past_the_modulus_cap():
+    # residue minima stop at a smallest column of 10**6; the search answers
+    s = ColoredSemigroup(1, ((1000003,), (1000033,)), ((0,), (1,)))
+    assert find_k_chromatic(s, (3 * 1000003 + 2 * 1000033,), 2) == (3, 2)
+    assert find_k_chromatic(s, (3 * 1000003,), 2) is None
+    assert find_k_chromatic(s, (1000033 - 1,), 1) is None
 
 
 def test_exceptions_are_bounded_random():

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chromatic_semigroups import parse_instance
-from chromatic_semigroups.cli import _dumps, main
+from chromatic_semigroups.cli import _dumps, _fmt, main
 from chromatic_semigroups.errors import (
     InstanceParseError,
     InstanceValidationError,
@@ -48,6 +48,14 @@ WIDE = {
                {"name": "blue", "generators": [[10 ** 9 + 1]]}],
 }
 
+# CF_3 = 2001360119 from residue minima, behind about 1e9 gaps
+SINGLETONS = {
+    "dimension": 1,
+    "colors": [{"name": "red", "generators": [[100003]]},
+               {"name": "blue", "generators": [[100019]]},
+               {"name": "green", "generators": [[100043]]}],
+}
+
 EXAMPLE_ONE_DOC = {
     "dimension": 1,
     "colors": [{"name": "c1", "generators": [[9], [16]]},
@@ -82,6 +90,13 @@ def two_d_path(tmp_path):
 def huge_path(tmp_path):
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(HUGE))
+    return str(p)
+
+
+@pytest.fixture
+def singletons_path(tmp_path):
+    p = tmp_path / "singletons.json"
+    p.write_text(json.dumps(SINGLETONS))
     return str(p)
 
 
@@ -322,9 +337,16 @@ def test_json_report_text_is_json_dumps_indent_2(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2)
 
 
+@given(st.lists(st.integers() | st.booleans() | st.none()))
+def test_text_list_is_rendered_item_by_item(val):
+    # flat int lists take a fast path, which must render the same bytes
+    assert _fmt(val) == "[" + ", ".join(_fmt(v) for v in val) + "]"
+
+
 def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
                                             two_d_path, example_one_path,
-                                            huge_path, wide_path, capsys):
+                                            huge_path, wide_path,
+                                            singletons_path, capsys):
     golden = [
         (["solve", example_one_path], 0),
         (["classify", "--solution", "3,1,0,1,0,1", example_one_path], 0),
@@ -362,6 +384,9 @@ def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
         (["cteg", "--n", "0"], 2),
         (["reduce", "--k", "2", "--mode", "b", two_color_path], 0),
         (["reduce", "--k", "1", "--mode", "b", two_color_path], 2),
+        # the reduction reads values only, so the gap cap does not apply
+        (["reduce", "--k", "3", "--mode", "b", singletons_path], 0),
+        (["chromatic-frobenius", "--k", "3", singletons_path], 2),
     ]
     for argv, want in golden:
         code = main(list(argv))

@@ -177,6 +177,13 @@ def test_singleton_formula_large_classes_is_fast():
     assert r.matches and r.computed_value == 6844814
 
 
+def test_value_only_checks_list_no_gaps():
+    # about 1e9 gaps lie below this CF_3, past the listing cap, but the
+    # singleton formula needs only the value
+    r = singleton_formula_check([100003, 100019, 100043])
+    assert r.matches and r.computed_value == 2001360119
+
+
 def test_size_caps_refuse_before_allocating():
     with pytest.raises(SemigroupError, match="exceeds the cap"):
         apery_set([10 ** 18 + 3, 10 ** 18 + 9])
