@@ -82,10 +82,9 @@ def integer_kernel(rows):
 
 def saturation_basis(vectors, dim):
     """Basis of the lattice (integer points) of the rational span of vectors."""
-    kernel = integer_kernel(list(vectors))  # rows annihilating the span? no:
-    # integer_kernel of the vector-rows gives w with vectors . w = 0, i.e.
-    # the orthogonal complement; the saturation is the integer kernel of that
-    complement = kernel
+    # the vectors as rows: their kernel is the orthogonal complement of the
+    # span, and the saturation is the integer kernel of that complement
+    complement = integer_kernel(list(vectors))
     if not complement:
         return tuple(tuple(1 if j == i else 0 for j in range(dim))
                      for i in range(dim))

@@ -420,17 +420,17 @@ def _frac(value):
 
 
 _INDENTED = json.JSONEncoder(indent=2).encode
-_INT_LINES = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
 
 def _dumps(payload):
     """`json.dumps(payload, indent=2)` byte for byte.  Indenting runs json's
-    pure-Python encoder, so flat int lists (gap sets run to millions) take
-    the C encoder with the separators that indenting would put in."""
+    pure-Python encoder, so flat int lists (gap sets run to millions) go
+    through `str`, as in `_fmt`, with the separators indenting puts in."""
     fields = []
     for key, val in payload.items():
         if isinstance(val, list) and set(map(type, val)) == {int}:
-            text = "[\n    " + _INT_LINES(val)[1:-1] + "\n  ]"
+            text = ("[\n    " + str(val)[1:-1].replace(", ", ",\n    ")
+                    + "\n  ]")
         else:
             text = _INDENTED(val).replace("\n", "\n  ")
         fields.append(f"{json.dumps(key)}: {text}")

@@ -133,8 +133,11 @@ def _membership_query(s):
 
     Positive 1-D columns read membership off the residue minima, r >= m[r
     mod a] (m is inf on the classes no sum reaches, as when the columns
-    share a gcd), and the witness takes at each step the first column that
-    leaves a member; other columns ask the pruned search.
+    share a gcd).  The witness takes the first column that leaves a member
+    as often as it still does, then the next: a column skipped once stays
+    skipped (r - v' - v a member makes r - v one), and r - t v is a member
+    for a prefix of t, so a binary search finds each multiplicity.  Other
+    columns ask the pruned search.
     """
     values = tuple(col[0] for col in s.columns)
     if s.dimension != 1 or not 0 < min(values) <= _MODULUS_CAP:
@@ -148,11 +151,17 @@ def _membership_query(s):
         r = residual[0]
         if not member(r):
             return False, None
-        x = [0] * len(values)
-        while r:
-            i = next(i for i, v in enumerate(values) if member(r - v))
-            x[i] += 1
-            r -= values[i]
+        x = []
+        for v in values:
+            lo, hi = 0, r // v  # member(r - lo * v) holds
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if member(r - mid * v):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            x.append(lo)
+            r -= lo * v
         return True, x
     return walk
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 from ._linalg import dot, is_zero, vec_add
 from .cones import cone, dd_convert, is_pointed
 from .errors import NotPointedError
+from .numerical import _mask_tables
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,6 @@ class DiophantineInstance:
         for col in cols:
             if len(col) != len(rhs):
                 raise ValueError("column/right-hand-side length mismatch")
-
-
-def instance(columns, rhs):
-    return DiophantineInstance(tuple(columns), tuple(rhs))
 
 
 @lru_cache(maxsize=None)
@@ -85,20 +82,12 @@ def count_solutions(inst, allowed):
     cols = [inst.columns[i] for i in allowed]
     d = len(inst.rhs)
     if d == 1 and cols and all(c[0] > 0 for c in cols):
-        return _denumerant([c[0] for c in cols], inst.rhs[0])
+        b = inst.rhs[0]
+        if b < 0:
+            return 0
+        return _mask_tables((tuple(c[0] for c in cols),), b, 0)[b]
     sub = DiophantineInstance(tuple(cols), inst.rhs)
     return sum(1 for _ in _search(sub))
-
-
-def _denumerant(coins, b):
-    if b < 0:
-        return 0
-    ways = [0] * (b + 1)
-    ways[0] = 1
-    for a in coins:
-        for v in range(a, b + 1):
-            ways[v] += ways[v - a]
-    return ways[b]
 
 
 @lru_cache(maxsize=None)

@@ -78,23 +78,20 @@ class HellyAuditReport:
     conclusion_holds: bool
     counterexample_subset: tuple
     witness: tuple
-    anomaly: bool
     sampled: bool
     seed: object
     note: str = ""
 
 
-def helly_audit(family, subset_size=None, seed=None, max_subsets=None,
-                raise_on_anomaly=True):
+def helly_audit(family, subset_size=None, seed=None, max_subsets=None):
     """Test the subset premise against the full-family conclusion.
 
     All subsets of the given size (default: the case size, clamped to the
     family size) are intersected; the premise holds when every one shares a
     nonzero element.  A true premise at the case size with a trivial full
-    intersection contradicts the audit contract and raises (or is flagged
-    when `raise_on_anomaly` is false).  Size-0 subsets make the premise
-    vacuously true.  Beyond 12 members the subsets are sampled
-    pseudo-randomly (`max_subsets` of them, default 2000; it must be
+    intersection contradicts the audit contract and raises.  Size-0 subsets
+    make the premise vacuously true.  Beyond 12 members the subsets are
+    sampled pseudo-randomly (`max_subsets` of them, default 2000; it must be
     positive); the seed is echoed and the report carries a note that the
     premise was sampled.
     """
@@ -134,8 +131,7 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None,
             counterexample = idxs
             break
     conclusion, witness = family_intersection_nontrivial(family.members)
-    anomaly = premise and not conclusion and size >= case_size
-    if anomaly and raise_on_anomaly:
+    if premise and not conclusion and size >= case_size:
         raise TheoremContractError(
             f"premise held on all size-{size} subsets but the full "
             "intersection is trivial")
@@ -147,7 +143,6 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None,
         conclusion_holds=conclusion,
         counterexample_subset=counterexample,
         witness=witness if witness is not None else (),
-        anomaly=anomaly,
         sampled=sampled,
         seed=seed,
         note=("premise checked on a random sample of subsets, not a proof"

