@@ -81,7 +81,9 @@ def main(argv=None):
         print(f"error: input too large for this machine ({type(exc).__name__})",
               file=sys.stderr)
         return 2
-    print(_dumps(payload) if args.json else "\n".join(_render(payload)))
+    pieces = _dumps(payload) if args.json else ["\n".join(_render(payload))]
+    sys.stdout.writelines(pieces)
+    print()
     return 1 if payload.get("member") is False else 0  # the one negative report
 
 
@@ -420,21 +422,26 @@ def _frac(value):
 
 
 _INDENTED = json.JSONEncoder(indent=2).encode
+_SLICE = 1 << 16  # ints per `str` call in `_dumps`
 
 
 def _dumps(payload):
-    """`json.dumps(payload, indent=2)` byte for byte.  Indenting runs json's
-    pure-Python encoder, so flat int lists (gap sets run to millions) go
-    through `str`, as in `_fmt`, with the separators indenting puts in."""
-    fields = []
+    """`json.dumps(payload, indent=2)` byte for byte, as pieces of text.
+    Indenting runs json's pure-Python encoder, so flat int lists (gap sets
+    run to millions) go through `str`, as in `_fmt`, a slice at a time, with
+    the separators indenting puts in."""
+    sep = "{"
     for key, val in payload.items():
+        yield f"{sep}\n  {json.dumps(key)}: "
+        sep = ","
         if isinstance(val, list) and set(map(type, val)) == {int}:
-            text = ("[\n    " + str(val)[1:-1].replace(", ", ",\n    ")
-                    + "\n  ]")
+            for lo in range(0, len(val), _SLICE):
+                part = str(val[lo:lo + _SLICE])[1:-1].replace(", ", ",\n    ")
+                yield ("," if lo else "[") + "\n    " + part
+            yield "\n  ]"
         else:
-            text = _INDENTED(val).replace("\n", "\n  ")
-        fields.append(f"{json.dumps(key)}: {text}")
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+            yield _INDENTED(val).replace("\n", "\n  ")
+    yield "\n}"
 
 
 def _render(payload, indent=0):

@@ -166,6 +166,19 @@ def _membership_query(s):
     return walk
 
 
+def _solve_within(s, idx, b):
+    """A solution of b supported inside the columns `idx`, as a full-length
+    vector, or None."""
+    found, sub = is_member(
+        DiophantineInstance(tuple(s.columns[i] for i in idx), b))
+    if not found:
+        return None
+    full = [0] * len(s.columns)
+    for i, x in zip(idx, sub):
+        full[i] = x
+    return tuple(full)
+
+
 def find_colorful(s, b):
     """A solution using at most one column per color, or None.
 
@@ -174,16 +187,10 @@ def find_colorful(s, b):
     """
     _require_pointed(s)
     b = tuple(b)
-    n = len(s.columns)
     for choice in product(*[(None,) + cls for cls in s.classes]):
-        chosen = sorted(i for i in choice if i is not None)
-        cols = tuple(s.columns[i] for i in chosen)
-        found, sub = is_member(DiophantineInstance(cols, b))
-        if found:
-            full = [0] * n
-            for pos, i in enumerate(chosen):
-                full[i] = sub[pos]
-            return tuple(full)
+        full = _solve_within(s, sorted(i for i in choice if i is not None), b)
+        if full is not None:
+            return full
     return None
 
 
@@ -191,19 +198,7 @@ def monochromatic_profile(s, b):
     """Per color class, a solution supported inside that class (or None)."""
     _require_pointed(s)
     b = tuple(b)
-    n = len(s.columns)
-    out = []
-    for cls in s.classes:
-        cols = tuple(s.columns[i] for i in cls)
-        found, sub = is_member(DiophantineInstance(cols, b))
-        if found:
-            full = [0] * n
-            for pos, i in enumerate(cls):
-                full[i] = sub[pos]
-            out.append(tuple(full))
-        else:
-            out.append(None)
-    return tuple(out)
+    return tuple(_solve_within(s, cls, b) for cls in s.classes)
 
 
 @dataclass(frozen=True)

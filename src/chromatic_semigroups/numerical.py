@@ -2,20 +2,20 @@
 
 Reachability comes from residue minima: the least element of seeds + S in
 each class mod the smallest generator (the Apery set for the seed 0).  The
-k-color targets are the translates offsets + S, one offset per pick of a
-generator from each of k distinct classes, so Frobenius numbers, gaps and
-chromatic membership all read one minima vector.  Counts are exact integers
-from the denumerant tables of color subsets, weighted by inclusion-exclusion
-over subset sizes, and their quasipolynomial is interpolated, exact for
-every positive target by Ehrhart-Macdonald reciprocity.
+k-color targets are the translates offsets + S, an offset being a sum of
+one generator from each of k distinct classes, so Frobenius numbers, gaps
+and chromatic membership all read one minima vector.  Offsets and counts
+come from one fold over the classes that carries the number of classes
+used so far: the offsets as sets of sums, the counts as exact integer
+tables.  The count's quasipolynomial is interpolated, exact for every
+positive target by Ehrhart-Macdonald reciprocity.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, compress, product
-from math import comb, gcd, inf
-from operator import add
+from itertools import chain, compress
+from math import gcd, inf
 
 from ._linalg import lcm_all
 from .errors import NotPrimitiveError, SemigroupError, TheoremContractError
@@ -149,14 +149,16 @@ def gap_set(values):
 
 
 def chromatic_offsets(s, k):
-    """Sums of one generator from each class of a k-subset of the classes."""
+    """Sums of one generator from each class of a k-subset of the classes:
+    sums[j] holds the sums over j distinct classes of those taken in so far,
+    and j runs down so that no sum takes the new class twice."""
     if not 1 <= k <= s.n_colors:
         raise ValueError(f"k must be between 1 and {s.n_colors}")
-    sums = set()
-    for chosen in combinations(s.classes, k):
-        for pick in product(*chosen):
-            sums.add(sum(pick))
-    return tuple(sorted(sums))
+    sums = [{0}] + [set() for _ in range(k)]
+    for cls in s.classes:
+        for j in range(k, 0, -1):
+            sums[j] |= {v + a for v in sums[j - 1] for a in cls}
+    return tuple(sorted(sums[k]))
 
 
 def k_chromatic_member(s, b, k):
@@ -383,45 +385,37 @@ def build_reduction_instance(s, k, mode):
 # counting k-chromatic solutions
 
 
-@lru_cache(maxsize=None)
 def _mask_tables(classes, bound, k):
     """Number of solutions of each v <= bound that use at least k of the
-    classes (k = 0 counts them all), as one table.
-
-    With D_U the denumerant over the classes in U (l classes in all), the
-    solutions using exactly the classes T number the alternating sum of D_U
-    over U within T.  Summed over |T| >= k, U gets the weight
-    sum_{t >= max(k, |U|)} (-1)^(t - |U|) C(l - |U|, t - |U|): 1 for U the
-    whole set, 0 for any other |U| >= k, and by the hockey-stick identity
-
-        count = D_all + sum_{|U| < k} (-1)^(k-|U|) C(l-|U|-1, k-|U|-1) D_U,
-
-    so only the tables of the whole set and of the subsets below k are built.
-    """
-    ell = len(classes)
-    total = _denumerants(chain.from_iterable(classes), bound)
-    for u in range(k):
-        level = [0] * (bound + 1)  # sum of D_U over |U| = u
-        for chosen in combinations(classes, u):
-            counts = _denumerants(chain.from_iterable(chosen), bound)
-            level = list(map(add, level, counts))
-        weight = (-1) ** (k - u) * comb(ell - u - 1, k - u - 1)
-        total = [t + weight * c for t, c in zip(total, level)]
-    return tuple(total)
+    classes, as one table.  Row j < k of `exact` counts the solutions that
+    use exactly j of the classes folded in so far; class c adds to it the
+    coin DP over c started from row j - 1, less row j - 1 (no coin of c).
+    The solutions in no row use at least k classes."""
+    start = [1] + [0] * bound
+    exact = [start] + [[0] * (bound + 1) for _ in range(k - 1)]
+    for i, cls in enumerate(classes):
+        for j in range(min(k - 1, i + 1), 0, -1):  # rows above i are still 0
+            grown = _denumerants(cls, exact[j - 1])
+            exact[j] = [e + g - p
+                        for e, g, p in zip(exact[j], grown, exact[j - 1])]
+    total = _denumerants(chain.from_iterable(classes), start)
+    for row in exact:
+        total = [t - e for t, e in zip(total, row)]
+    return total
 
 
-def _denumerants(coins, bound):
-    """Number of ways to write each v <= bound as a sum of the coins."""
-    counts = [1] + [0] * bound
+def _denumerants(coins, counts):
+    """Coin DP over a start table: entry v sums, over u weighted by
+    counts[u], the ways to write v - u as a sum of the coins."""
+    counts = list(counts)
     for a in coins:
-        for v in range(a, bound + 1):
+        for v in range(a, len(counts)):
             counts[v] += counts[v - a]
     return counts
 
 
 def count_k_chromatic(s, b, k):
-    """Exact number of solutions of b that use at least k colors, read off
-    the weighted subset denumerants of `_mask_tables`."""
+    """Exact number of solutions of b that use at least k colors."""
     if b < 0:
         raise ValueError("b must be nonnegative")
     if not 1 <= k <= s.n_colors:
@@ -457,8 +451,11 @@ def fit_quasipolynomial(s, k):
     For each residue r, a polynomial of degree < n (n = number of
     generators) is interpolated through the exact counts at the n targets
     r, r + L, ..., r + (n - 1) L (residue 0 at L, 2L, ..., nL).  The fit is
-    exact for every b >= 1 and wrong at b = 0, so the threshold is 1.  The
-    count is the weighted sum of subset denumerants D_U in `_mask_tables`:
+    exact for every b >= 1 and wrong at b = 0, so the threshold is 1.  With
+    D_U the denumerant over the classes in U (l classes in all),
+    inclusion-exclusion by subset size gives the count as
+
+        D_all + sum_{|U| < k} (-1)^(k-|U|) C(l-|U|-1, k-|U|-1) D_U.
 
     - For a nonempty set U of classes, D_U(b) equals a quasipolynomial of
       period dividing L and degree < n for every b > -sum(U), sum(U) being

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chromatic_semigroups import parse_instance
-from chromatic_semigroups.cli import _dumps, _fmt, main
+from chromatic_semigroups.cli import _SLICE, _dumps, _fmt, main
 from chromatic_semigroups.errors import (
     InstanceParseError,
     InstanceValidationError,
@@ -334,7 +334,17 @@ JSON_VALUES = st.recursive(
 @given(st.dictionaries(st.text(), JSON_VALUES | st.lists(st.integers()),
                        min_size=1))
 def test_json_report_text_is_json_dumps_indent_2(payload):
-    assert _dumps(payload) == json.dumps(payload, indent=2)
+    assert "".join(_dumps(payload)) == json.dumps(payload, indent=2)
+
+
+def test_json_int_list_spanning_slices_is_json_dumps_indent_2():
+    # flat int lists are encoded a slice at a time
+    payload = {"subcommand": "gaps",
+               "gap_set": list(range(-3, 2 * _SLICE + 5)),
+               "offsets": [],
+               "nested": {"rows": [[1, 2], [3]], "empty": []},
+               "value": 7}
+    assert "".join(_dumps(payload)) == json.dumps(payload, indent=2)
 
 
 @given(st.lists(st.integers() | st.booleans() | st.none()))

@@ -207,6 +207,14 @@ def test_chromatic_offsets():
     assert chromatic_offsets(s, 1) == (3, 5, 7)
 
 
+@given(colored_semigroups())
+def test_offsets_match_pick_enumeration(s):
+    for k in range(1, s.n_colors + 1):
+        picks = {sum(pick) for chosen in combinations(s.classes, k)
+                 for pick in product(*chosen)}
+        assert chromatic_offsets(s, k) == tuple(sorted(picks))
+
+
 def test_k_chromatic_member():
     s = colored_numerical([3], [5])
     assert k_chromatic_member(s, 8, 2)
