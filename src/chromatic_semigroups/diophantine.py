@@ -15,7 +15,7 @@ from functools import lru_cache
 from ._linalg import dot, is_zero, vec_add
 from .cones import cone, dd_convert, is_pointed
 from .errors import NotPointedError
-from .numerical import _denumerants
+from .numerical import _denumerants, _start_table
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def count_solutions(inst, allowed):
         b = inst.rhs[0]
         if b < 0:
             return 0
-        return _denumerants((c[0] for c in cols), [1] + [0] * b)[b]
+        return _denumerants((c[0] for c in cols), _start_table(b, 1))[b]
     sub = DiophantineInstance(tuple(cols), inst.rhs)
     return sum(1 for _ in _search(sub))
 

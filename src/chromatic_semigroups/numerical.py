@@ -7,15 +7,18 @@ one generator from each of k distinct classes, so Frobenius numbers, gaps
 and chromatic membership all read one minima vector.  Offsets and counts
 come from one fold over the classes that carries the number of classes
 used so far: the offsets as sets of sums, the counts as exact integer
-tables.  The count's quasipolynomial is interpolated, exact for every
-positive target by Ehrhart-Macdonald reciprocity.
+tables.  The count's quasipolynomial, exact for every positive target by
+Ehrhart-Macdonald reciprocity, is interpolated through n equally spaced
+counts per residue mod L: integer forward differences give the Newton
+form, its power basis scaled by (n - 1)! L^(n - 1) is integer, and each
+coefficient becomes one Fraction at the end.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
-from math import gcd, inf
+from math import factorial, gcd, inf
 
 from ._linalg import lcm_all
 from .errors import NotPrimitiveError, SemigroupError, TheoremContractError
@@ -23,10 +26,12 @@ from .errors import NotPrimitiveError, SemigroupError, TheoremContractError
 _ZERO_NOTE = ("0 is counted as a chromatic gap: the empty solution uses no "
               "colors")
 # Refused before allocating: residue minima hold one entry per residue of
-# the smallest generator, and a gap listing one entry per gap (the CF_3 of
-# the classes 10007 | 10009 | 10037 has 3.4 million gaps).
+# the smallest generator, a gap listing one entry per gap (the CF_3 of the
+# classes 10007 | 10009 | 10037 has 3.4 million gaps), and the count tables
+# one entry per target up to the bound in each row.
 _MODULUS_CAP = 10 ** 6
 _GAP_CAP = 10 ** 7
+_COUNT_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -391,7 +396,7 @@ def _mask_tables(classes, bound, k):
     use exactly j of the classes folded in so far; class c adds to it the
     coin DP over c started from row j - 1, less row j - 1 (no coin of c).
     The solutions in no row use at least k classes."""
-    start = [1] + [0] * bound
+    start = _start_table(bound, k + 1)
     exact = [start] + [[0] * (bound + 1) for _ in range(k - 1)]
     for i, cls in enumerate(classes):
         for j in range(min(k - 1, i + 1), 0, -1):  # rows above i are still 0
@@ -402,6 +407,16 @@ def _mask_tables(classes, bound, k):
     for row in exact:
         total = [t - e for t, e in zip(total, row)]
     return total
+
+
+def _start_table(bound, rows):
+    """The table [v = 0] for v <= bound, refused before it is allocated
+    when `rows` tables of its length would exceed the cap."""
+    cells = rows * (bound + 1)
+    if cells > _COUNT_CAP:
+        raise SemigroupError(
+            f"count tables of {cells} cells exceed the cap of {_COUNT_CAP}")
+    return [1] + [0] * bound
 
 
 def _denumerants(coins, counts):
@@ -450,9 +465,9 @@ def fit_quasipolynomial(s, k):
 
     For each residue r, a polynomial of degree < n (n = number of
     generators) is interpolated through the exact counts at the n targets
-    r, r + L, ..., r + (n - 1) L (residue 0 at L, 2L, ..., nL).  The fit is
-    exact for every b >= 1 and wrong at b = 0, so the threshold is 1.  With
-    D_U the denumerant over the classes in U (l classes in all),
+    x_j = r0 + jL, j < n, with r0 = r, or L when r = 0.  The fit is exact
+    for every b >= 1 and wrong at b = 0, so the threshold is 1.  With D_U
+    the denumerant over the classes in U (l classes in all),
     inclusion-exclusion by subset size gives the count as
 
         D_all + sum_{|U| < k} (-1)^(k-|U|) C(l-|U|-1, k-|U|-1) D_U.
@@ -467,33 +482,42 @@ def fit_quasipolynomial(s, k):
 
     So the count is a quasipolynomial plus (-1)^k C(l - 1, k - 1) [b = 0],
     and n samples per residue, all at b >= 1, determine it.
+
+    The samples are spaced by L, so with D^i y the integer forward
+    differences of y_0, ..., y_{n-1} the Newton form is
+    sum_i D^i y C((x - r0)/L, i).  Times den = (n - 1)! L^(n - 1) it is
+    sum_i D^i y (n - 1)!/i! L^(n - 1 - i) prod_{m < i} (x - x_m), whose
+    power-basis coefficients are integers.  Sample j of every residue is
+    one slice of the count table, so both steps run over all residues at
+    once, and each coefficient becomes Fraction(numerator, den) last.
     """
     if not 1 <= k <= s.n_colors:
         raise ValueError(f"k must be between 1 and {s.n_colors}")
     n = len(s.generators)
     period = lcm_all(s.generators)
     counts = _mask_tables(s.classes, n * period, k)
-    constituents = []
-    for r in range(period):
-        xs = [(r or period) + j * period for j in range(n)]
-        constituents.append(_interpolate(xs, [counts[x] for x in xs]))
-    return QuasiPolynomial(period, tuple(constituents), 1)
-
-
-def _interpolate(xs, ys):
-    """Newton divided differences, expanded to power-basis coefficients."""
-    m = len(xs)
-    dd = [Fraction(y) for y in ys]
-    for level in range(1, m):
-        for i in range(m - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    poly = [dd[m - 1]]
-    for i in range(m - 2, -1, -1):
-        shifted = [Fraction(0)] + poly
-        minus = [-Fraction(xs[i]) * c for c in poly]
-        poly = [a + b for a, b in
-                zip(shifted, minus + [Fraction(0)])]
-        poly[0] += dd[i]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
+    # rows[j][r0 - 1] is the count at x_j = r0 + jL, r0 = 1..L
+    rows = [counts[1 + j * period:1 + (j + 1) * period] for j in range(n)]
+    den = factorial(n - 1) * period ** (n - 1)
+    newton = []  # D^i y scaled by den / (i! L^i)
+    for i in range(n):
+        weight = den // (factorial(i) * period ** i)
+        newton.append([weight * y for y in rows[0]])
+        rows = [[b - a for a, b in zip(lo, hi)]
+                for lo, hi in zip(rows, rows[1:])]
+    # Horner from the top difference: poly <- poly (x - x_i) + newton[i],
+    # one list per power of x, lowest first
+    poly = [newton[-1]]
+    for i in range(n - 2, -1, -1):
+        xs = range(1 + i * period, 1 + (i + 1) * period)
+        poly = ([[d - x * c for d, x, c in zip(newton[i], xs, poly[0])]]
+                + [[p - x * q for p, x, q in zip(lo, xs, hi)]
+                   for lo, hi in zip(poly, poly[1:])]
+                + [poly[-1]])
+    # the lead coefficient is that of D_all, 1 / ((n - 1)! prod(A)) in every
+    # residue (each row below k leaves out a class, so has lower degree):
+    # no trailing zeros to strip.  Equal values share one Fraction.
+    fraction = lru_cache(maxsize=None)(lambda c: Fraction(c, den))
+    constituents = [tuple(map(fraction, coeffs)) for coeffs in zip(*poly)]
+    # r0 = L is residue 0
+    return QuasiPolynomial(period, (constituents[-1], *constituents[:-1]), 1)

@@ -406,6 +406,19 @@ def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
     assert "frobenius: 998999999999" in out
 
 
+def test_count_tables_past_the_cap_exit_2(two_color_path, tmp_path, capsys):
+    # a failed allocation also exits 2, so the message tells the guard apart
+    p = tmp_path / "primes.json"
+    p.write_text(json.dumps({"dimension": 1, "colors": [
+        {"name": str(v), "generators": [[v]]} for v in (97, 89, 83, 79)]}))
+    for argv in (["count", "--target", "1000000000000", "--k", "1",
+                  two_color_path],
+                 ["quasipoly", "--k", "2", str(p)]):  # n L about 2.3e8
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "exceed the cap of 10000000" in err, argv
+
+
 def test_hilbert_invariant_failure_is_an_anomaly(two_color_path, capsys,
                                                  monkeypatch):
     # a double description with a line inside the orthant can only come

@@ -19,6 +19,7 @@ from chromatic_semigroups import (
     classify,
     colored_numerical,
     count_k_chromatic,
+    count_solutions,
     enumerate_solutions,
     fit_quasipolynomial,
     frobenius,
@@ -28,6 +29,7 @@ from chromatic_semigroups import (
 )
 from chromatic_semigroups.colored import ColoredSemigroup
 from chromatic_semigroups.errors import NotPrimitiveError, SemigroupError
+from chromatic_semigroups.numerical import _mask_tables, _start_table
 
 
 def random_instance(rng, max_ell=4, max_gen=30):
@@ -198,6 +200,18 @@ def test_size_caps_refuse_before_allocating():
         gap_set([1000, 10 ** 9 + 1])
     with pytest.raises(SemigroupError, match="gaps exceed the cap"):
         chromatic_frobenius(colored_numerical([1000], [10 ** 9 + 1]), 2)
+    # count tables: k + 1 rows of b + 1 cells (b = n L for a fit)
+    with pytest.raises(SemigroupError, match="cells exceed the cap"):
+        count_k_chromatic(colored_numerical([3], [5]), 10 ** 12, 1)
+    with pytest.raises(SemigroupError, match="cells exceed the cap"):
+        fit_quasipolynomial(colored_numerical([97], [89], [83], [79]), 2)
+    with pytest.raises(SemigroupError, match="cells exceed the cap"):
+        count_solutions(DiophantineInstance(((3,), (5,)), (10 ** 12,)),
+                        [0, 1])
+    with pytest.raises(SemigroupError, match="cells exceed the cap"):
+        _start_table(4 * 10 ** 6, 3)
+    # four singleton classes at b = 400000, k = 4 stay under it
+    assert len(_start_table(400000, 5)) == 400001
 
 
 def test_chromatic_offsets():
@@ -417,6 +431,41 @@ def test_counts_match_enumerate_and_classify(s):
         if lcm(*s.generators) <= 200:
             qp = fit_quasipolynomial(s, k)
             assert [qp.evaluate(b) for b in range(1, top + 1)] == want[1:]
+
+
+def interpolate(xs, ys):
+    """Newton divided differences in Fraction, expanded to power-basis
+    coefficients (lowest degree first, trailing zeros stripped)."""
+    m = len(xs)
+    dd = [Fraction(y) for y in ys]
+    for level in range(1, m):
+        for i in range(m - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
+    poly = [dd[m - 1]]
+    for i in range(m - 2, -1, -1):
+        shifted = [Fraction(0)] + poly
+        minus = [-Fraction(xs[i]) * c for c in poly]
+        poly = [a + b for a, b in
+                zip(shifted, minus + [Fraction(0)])]
+        poly[0] += dd[i]
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return tuple(poly)
+
+
+# up to 6 generators (degree 5) with a small period, so that the Fraction
+# oracle stays fast
+@given(colored_semigroups(low=1, high=12, max_size=6, max_colors=6)
+       .filter(lambda s: lcm(*s.generators) <= 360))
+def test_fit_matches_divided_differences(s):
+    n, period = len(s.generators), lcm(*s.generators)
+    for k in range(1, s.n_colors + 1):
+        counts = _mask_tables(s.classes, n * period, k)
+        want = []
+        for r in range(period):
+            xs = [(r or period) + j * period for j in range(n)]
+            want.append(interpolate(xs, [counts[x] for x in xs]))
+        assert fit_quasipolynomial(s, k).constituents == tuple(want)
 
 
 # ---------------------------------------------------------------------------
