@@ -2,10 +2,12 @@
 
 Cones are handled entirely over arbitrary-precision rationals: generator
 (V) descriptions, inequality (H) descriptions, conversion between the two
-by the double description method, pointedness read off the dual cone, and
-exact intersections with canonically normalized extreme rays.  An exact
-Fraction LP (`rational_feasible`) is kept as public API and as the tests'
-independent reference; no other function here calls it.
+by the double description method (one incremental pass that carries each
+ray's zero set as a bit mask and can report every intermediate cone),
+pointedness read off the dual cone, and exact intersections with
+canonically normalized extreme rays.  An exact Fraction LP
+(`rational_feasible`) is kept as public API and as the tests' independent
+reference; no other function here calls it.
 """
 
 from dataclasses import dataclass, replace
@@ -23,7 +25,7 @@ from ._linalg import (
     vec_scale,
     vec_sub,
 )
-from .errors import DimensionMismatchError, SemigroupError
+from .errors import DimensionMismatchError, TheoremContractError
 
 
 @dataclass(frozen=True)
@@ -91,18 +93,22 @@ def dd_convert(c):
     """
     if c.inequalities is not None:
         return c
-    lin, rays = _generator_description(c.generators, c.dimension)
-    ineqs = list(rays)
-    for l in lin:
-        ineqs.append(l)
-        ineqs.append(vec_neg(l))
-    ineqs = tuple(sorted(ineqs))
-    for g in c.generators:
+    ineqs = checked_inequalities(
+        _generator_description(c.generators, c.dimension), c.generators)
+    return replace(c, inequalities=ineqs)
+
+
+def checked_inequalities(description, generators):
+    """Sorted inequality rows of the cone of `generators` (the extreme rays
+    and both signs of each lineality direction of its dual description);
+    raises TheoremContractError if some generator violates one."""
+    ineqs = _canonical_generators(*description)
+    for g in generators:
         for row in ineqs:
             if dot(row, g) < 0:
-                raise SemigroupError(
+                raise TheoremContractError(
                     "internal: generator violates computed inequality")
-    return replace(c, inequalities=ineqs)
+    return ineqs
 
 
 def ray_description(c):
@@ -227,70 +233,90 @@ def _generator_description(rows, dim):
     Returns (lineality, rays): canonical primitive integer vectors, the
     lineality basis in RREF with first nonzero coordinate positive, the
     extreme rays reduced modulo the lineality; both sorted.  Incremental
-    double description with the combinatorial adjacency test; zero sets are
-    recomputed from scratch at each insertion, trading speed for
-    reliability at the small dimensions used here.
+    double description with the combinatorial adjacency test; each ray
+    carries the bit mask of the inserted rows that vanish on it, updated
+    at each insertion.
     """
-    work = []
-    seen = set()
-    for r in rows:
-        if is_zero(r):
-            continue
-        p = primitive(r)
-        if p not in seen:
-            seen.add(p)
-            work.append(p)
+    for state in _dd_steps(rows, dim):
+        pass
+    return _canonical_description(*state)
 
+
+def suffix_descriptions(rows, dim):
+    """`_generator_description(rows[k:], dim)` for k = 0..len(rows).
+
+    The suffix cones are nested, so one double description pass over the
+    rows in reverse order goes through every one of them.
+    """
+    out = []
+    prev = None
+    for state in _dd_steps(rows[::-1], dim):
+        out.append(out[-1] if state is prev else _canonical_description(*state))
+        prev = state
+    return out[::-1]
+
+
+def _dd_steps(rows, dim):
+    """Raw (lineality, rays) state before any row and after each row.
+
+    `rays` maps each ray to the bit mask of the inserted rows vanishing on
+    it.  A zero or repeated row yields the previous state object again.
+    """
     lineality = [tuple(1 if j == i else 0 for j in range(dim))
                  for i in range(dim)]
-    rays = []
-    processed = []
-    for a in work:
-        idx0 = None
-        for i, l in enumerate(lineality):
-            if dot(a, l) != 0:
-                idx0 = i
-                break
+    rays = {}
+    seen = set()
+    state = (lineality, rays)
+    yield state
+    for r in rows:
+        a = None if is_zero(r) else primitive(r)
+        if a is None or a in seen:
+            yield state
+            continue
+        bit = 1 << len(seen)
+        seen.add(a)
+        idx0 = next((i for i, l in enumerate(lineality) if dot(a, l) != 0),
+                    None)
         if idx0 is not None:
-            l0 = lineality.pop(idx0)
+            l0 = lineality[idx0]
             if dot(a, l0) < 0:
                 l0 = vec_neg(l0)
             d0 = dot(a, l0)
-            folded = []
-            for l in lineality:
-                dl = dot(a, l)
-                folded.append(primitive(vec_sub(vec_scale(d0, l), vec_scale(dl, l0)))
-                              if dl != 0 else l)
-            lineality = folded
-            rays = [primitive(vec_sub(vec_scale(d0, r), vec_scale(dot(a, r), l0)))
-                    if dot(a, r) != 0 else r
-                    for r in rays]
-            rays.append(l0)
+            lineality = [_fold(d0, l, dot(a, l), l0)
+                         for i, l in enumerate(lineality) if i != idx0]
+            rays = {_fold(d0, r, dot(a, r), l0): m | bit
+                    for r, m in rays.items()}
+            rays[l0] = bit - 1
         else:
             vals = [dot(a, r) for r in rays]
+            masks = list(rays.values())
+            new = {r: m | bit if v == 0 else m
+                   for (r, m), v in zip(rays.items(), vals) if v >= 0}
             if any(v < 0 for v in vals):
-                masks = [_zero_mask(r, processed) for r in rays]
-                keep = [r for r, v in zip(rays, vals) if v >= 0]
-                fresh = []
-                for ip, rp in enumerate(rays):
+                items = list(rays)
+                for ip, rp in enumerate(items):
                     if vals[ip] <= 0:
                         continue
-                    for im, rm in enumerate(rays):
+                    for im, rm in enumerate(items):
                         if vals[im] >= 0:
                             continue
-                        if not _adjacent(ip, im, masks):
+                        common = masks[ip] & masks[im]
+                        if not _adjacent(common, ip, im, masks):
                             continue
                         w = vec_sub(vec_scale(vals[ip], rm),
                                     vec_scale(vals[im], rp))
-                        fresh.append(primitive(w))
-                rays = keep
-                present = set(rays)
-                for w in fresh:
-                    if w not in present:
-                        present.add(w)
-                        rays.append(w)
-        processed.append(a)
+                        new.setdefault(primitive(w), common | bit)
+            rays = new
+        state = (lineality, rays)
+        yield state
 
+
+def _fold(d0, v, dv, l0):
+    """v moved along l0 onto the hyperplane of the row (unchanged if on it)."""
+    return primitive(vec_sub(vec_scale(d0, v), vec_scale(dv, l0))) if dv else v
+
+
+def _canonical_description(lineality, rays):
     if lineality:
         lin_rref, pivots = rref(lineality)
         lin = sorted(sign_canonical(primitive(row)) for row in lin_rref)
@@ -302,16 +328,7 @@ def _generator_description(rows, dim):
     return tuple(lin), tuple(red_rays)
 
 
-def _zero_mask(ray, processed):
-    mask = 0
-    for i, row in enumerate(processed):
-        if dot(row, ray) == 0:
-            mask |= 1 << i
-    return mask
-
-
-def _adjacent(ip, im, masks):
-    common = masks[ip] & masks[im]
+def _adjacent(common, ip, im, masks):
     for k, mk in enumerate(masks):
         if k == ip or k == im:
             continue

@@ -3,17 +3,19 @@
 Enumeration relies on a pointedness witness w (an integer functional that
 is positive on every column, read off the double description of the
 column cone), which bounds every branch of the search by
-<w, residual> >= 0.  One search serves enumeration and membership (its
-first solution) and skips residual states already shown dead.  Homogeneous
-systems get their Hilbert basis geometrically (see `_hilbert`), with a
-completion procedure kept as a reference.
+<w, residual> >= 0, and on the facets of the cone of every suffix of the
+column list, all read off one reverse double description pass.  One search
+serves enumeration and membership (its first solution) and skips residual
+states already shown dead.  Homogeneous systems get their Hilbert basis
+geometrically (see `_hilbert`), with a completion procedure kept as a
+reference.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from ._linalg import dot, is_zero, vec_add
-from .cones import cone, dd_convert, is_pointed
+from .cones import checked_inequalities, cone, is_pointed, suffix_descriptions
 from .errors import NotPointedError
 from .numerical import _denumerants, _start_table
 
@@ -99,17 +101,13 @@ def _plan_cached(cols, d):
     order = sorted(range(n), key=lambda i: (-dot(w, cols[i]), i))
     ocols = [cols[i] for i in order]
     wvals = [dot(w, c) for c in ocols]
-    # facet rows of the cone of each suffix: a residual that violates one
-    # can never be completed with the remaining columns
-    suffix_rows = []
-    for k in range(n + 1):
-        sub = ocols[k:]
-        if sub:
-            rows = dd_convert(cone(sub, d)).inequalities
-        else:
-            rows = tuple(tuple(s if j == i else 0 for j in range(d))
-                         for i in range(d) for s in (1, -1))
-        suffix_rows.append(rows)
+    # facet rows of the cone of each suffix, all from one reverse double
+    # description pass: a residual that violates one can never be completed
+    # with the remaining columns
+    descs = suffix_descriptions(ocols, d)
+    suffix_rows = [checked_inequalities(descs[k], ocols[k:]) for k in range(n)]
+    suffix_rows.append(tuple(tuple(s if j == i else 0 for j in range(d))
+                             for i in range(d) for s in (1, -1)))
     # how each facet value moves per copy of the current column
     row_steps = [tuple(dot(m, ocols[k]) for m in suffix_rows[k + 1])
                  for k in range(n)]

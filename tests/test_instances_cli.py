@@ -432,6 +432,25 @@ def test_hilbert_invariant_failure_is_an_anomaly(two_color_path, capsys,
     assert err == "anomaly: orthant cone contains a line\n"
 
 
+def test_search_facet_failure_is_an_anomaly(two_d_path, capsys, monkeypatch):
+    # suffix facets that cut off one of their own columns can only come
+    # from a bug in the double description: exit 3, not a usage error
+    import functools
+
+    import chromatic_semigroups.diophantine as dio
+
+    real = dio.suffix_descriptions
+    monkeypatch.setattr(
+        dio, "suffix_descriptions",
+        lambda rows, dim: [(lin, tuple(tuple(-c for c in r) for r in rays))
+                           for lin, rays in real(rows, dim)])
+    monkeypatch.setattr(dio, "_plan_cached",
+                        functools.lru_cache(None)(dio._plan_cached.__wrapped__))
+    code, out, err = run_cli(capsys, "solve", two_d_path)
+    assert code == 3 and out == ""
+    assert err == "anomaly: internal: generator violates computed inequality\n"
+
+
 def test_no_lp_on_any_subcommand(two_d_path, example_one_path, capsys,
                                  monkeypatch):
     # pointedness comes from the double description; the exact LP is kept
