@@ -28,7 +28,6 @@ from .diophantine import (
     DiophantineInstance,
     count_solutions,
     enumerate_solutions,
-    hilbert_basis_completion,
     hilbert_basis_homogeneous,
     is_member,
     iter_solutions,

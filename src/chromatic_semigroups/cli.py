@@ -19,6 +19,7 @@ import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from math import log10
 
 from .colored import (
     build_unique_expression_family,
@@ -306,6 +307,13 @@ def _run_quasipoly(doc, args):
 
 
 def _run_cteg(doc, args):
+    # entries reach 2^(n+1) in size; refuse an n whose report the interpreter
+    # would refuse to print (CPython's int-to-str digit limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (args.n + 1) * log10(2) >= limit:
+        raise ValueError(f"--n {args.n} is too large: entries near "
+                         f"2^{args.n + 1} pass the {limit}-digit limit on "
+                         "printing an int")
     fam = build_unique_expression_family(args.n)
     payload = {
         "n": fam.n,

@@ -2,19 +2,19 @@
 
 Enumeration relies on a pointedness witness w (an integer functional that
 is positive on every column, read off the double description of the
-column cone), which bounds every branch of the search by
-<w, residual> >= 0, and on the facets of the cone of every suffix of the
-column list, all read off one reverse double description pass.  One search
-serves enumeration and membership (its first solution) and skips residual
-states already shown dead.  Homogeneous systems get their Hilbert basis
-geometrically (see `_hilbert`), with a completion procedure kept as a
-reference.
+column cone) and on the description of the cone of every suffix of the
+column list, all read off one reverse double description pass.  One
+depth-first search serves enumeration and membership (its first
+solution).  At each column the budget <w, residual> and the rows of the
+later columns' cone bound the column's multiplicity to one interval, and
+residual states already shown dead are skipped.  Homogeneous systems get
+their Hilbert basis geometrically (see `_hilbert`).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._linalg import dot, is_zero, vec_add
+from ._linalg import dot, is_zero
 from .cones import checked_inequalities, cone, is_pointed, suffix_descriptions
 from .errors import NotPointedError
 from .numerical import _denumerants, _start_table
@@ -100,29 +100,24 @@ def _plan_cached(cols, d):
     # cone of every suffix stays small
     order = sorted(range(n), key=lambda i: (-dot(w, cols[i]), i))
     ocols = [cols[i] for i in order]
-    wvals = [dot(w, c) for c in ocols]
-    # facet rows of the cone of each suffix, all from one reverse double
-    # description pass: a residual that violates one can never be completed
-    # with the remaining columns
+    # the cone of each suffix, all from one reverse double description
+    # pass; a residual outside it can never be completed.  Each suffix's
+    # rows are checked against its columns: a wrong one raises
+    # TheoremContractError
     descs = suffix_descriptions(ocols, d)
-    suffix_rows = [checked_inequalities(descs[k], ocols[k:]) for k in range(n)]
-    suffix_rows.append(tuple(tuple(s if j == i else 0 for j in range(d))
-                             for i in range(d) for s in (1, -1)))
-    # how each facet value moves per copy of the current column
-    row_steps = [tuple(dot(m, ocols[k]) for m in suffix_rows[k + 1])
-                 for k in range(n)]
-    suffix_zero = [[True] * d for _ in range(n + 1)]
-    for k in range(n - 1, -1, -1):
-        for j in range(d):
-            suffix_zero[k][j] = suffix_zero[k + 1][j] and ocols[k][j] == 0
-    # coordinates untouched by later columns force the multiplicity exactly
-    forced_coord = [None] * n
-    for k in range(n):
-        for j in range(d):
-            if ocols[k][j] != 0 and suffix_zero[k + 1][j]:
-                forced_coord[k] = j
-                break
-    return order, ocols, wvals, suffix_rows, row_steps, forced_coord
+    rows = [checked_inequalities(descs[k], ocols[k:]) for k in range(n)]
+    # column k is weighed against the cone of the columns after it.  A row
+    # that the column leaves unchanged holds on the cone of columns k..,
+    # where the residual already lies, so only the rows it moves are kept.
+    steps = [(col, dot(w, col), _moved(lin, col), _moved(rays, col))
+             for col, (lin, rays) in zip(ocols, descs[1:])]
+    return order, w, rows[0], steps
+
+
+def _moved(rows, col):
+    """(m, m . col) for each row m that `col` moves."""
+    pairs = ((m, dot(m, col)) for m in rows)
+    return tuple((m, s) for m, s in pairs if s)
 
 
 def _plan(inst):
@@ -139,20 +134,28 @@ def _plan(inst):
 def _search(inst):
     """Depth-first search over the columns in plan order.
 
-    A state (k, residual) whose subtree yielded nothing is recorded as dead
-    and skipped when another prefix reaches it: the subtree depends only on
-    that pair, since <w, residual> fixes the remaining budget.
+    A target outside the cone of all columns has no solution.  Otherwise
+    the multiplicity x of column k ranges over one interval [lo, hi], read
+    off the residual: the budget <w, residual> >= x <w, col> bounds it from
+    above, each facet row m of the later columns' cone needs
+    m . residual >= x m . col (a bound from above or below, by the sign of
+    m . col), and each row vanishing on the later columns fixes
+    x = m . residual / m . col.  x runs from lo up, so solutions come in
+    lexicographic order over the plan's columns.  A state (k, residual)
+    whose subtree yielded nothing is recorded as dead and skipped when
+    another prefix reaches it: the subtree depends only on that pair,
+    since <w, residual> fixes the remaining budget.
     """
     rhs = inst.rhs
-    d = len(rhs)
     plan = _plan(inst)
     if plan is None:
         if is_zero(rhs):
             yield ()
         return
-    order, ocols, wvals, suffix_rows, row_steps, forced_coord = plan
-    n = len(ocols)
-    w = _witness(inst.columns, d)
+    order, w, rows, steps = plan
+    if any(dot(m, rhs) < 0 for m in rows):
+        return
+    n = len(order)
 
     acc = [0] * n
     dead = set()
@@ -171,40 +174,27 @@ def _search(inst):
         if key in dead:
             return
         before = hits[0]
-        col = ocols[k]
-        wc = wvals[k]
-        rows = suffix_rows[k + 1]
-        steps = row_steps[k]
-        fj = forced_coord[k]
-        if fj is not None:
-            q, r = divmod(residual[fj], col[fj])
-            if r == 0 and q >= 0 and wres - q * wc >= 0:
-                res = tuple(a - q * c for a, c in zip(residual, col))
-                if all(dot(m, res) >= 0 for m in rows):
-                    acc[k] = q
-                    yield from descend(k + 1, res, wres - q * wc)
-        else:
-            vals = [dot(m, residual) for m in rows]
-            x = 0
-            res = residual
-            while wres >= 0:
-                skip = False
-                stop = False
-                for v, mc in zip(vals, steps):
-                    if v < 0:
-                        if mc >= 0:
-                            stop = True
-                            break
-                        skip = True
-                if stop:
-                    break
-                if not skip:
-                    acc[k] = x
-                    yield from descend(k + 1, res, wres)
-                x += 1
-                wres -= wc
+        col, wc, eqs, ineqs = steps[k]
+        lo, hi = 0, wres // wc
+        for m, s in eqs:
+            q, r = divmod(dot(m, residual), s)
+            if r or not lo <= q <= hi:
+                hi = -1
+            else:
+                lo = hi = q
+        for m, s in ineqs:
+            if s > 0:
+                hi = min(hi, dot(m, residual) // s)
+            else:
+                lo = max(lo, -(dot(m, residual) // -s))
+        if lo <= hi:
+            res = tuple(a - lo * c for a, c in zip(residual, col))
+            wres -= lo * wc
+            for x in range(lo, hi + 1):
+                acc[k] = x
+                yield from descend(k + 1, res, wres)
                 res = tuple(a - c for a, c in zip(res, col))
-                vals = [v - mc for v, mc in zip(vals, steps)]
+                wres -= wc
         if hits[0] == before:
             dead.add(key)
 
@@ -216,19 +206,10 @@ def hilbert_basis_homogeneous(rows):
 
     The solution monoid is the lattice-point monoid of a pointed cone, so
     the basis is extracted geometrically (rays, triangulation, fundamental
-    parallelepipeds, minimality filter); see `hilbert_basis_completion` for
-    the slow completion procedure used as an independent cross-check in the
-    tests.  The Hilbert basis is unique, so both agree.  Canonically sorted.
+    parallelepipeds, minimality filter); the tests cross-check it against
+    a slow completion procedure.  The Hilbert basis is unique, so both
+    agree.  Canonically sorted.
     """
-    rows = _checked_rows(rows)
-    k = len(rows[0])
-    if k == 0:
-        return ()
-    from ._hilbert import hilbert_basis_pointed
-    return hilbert_basis_pointed(rows, k)
-
-
-def _checked_rows(rows):
     rows = [tuple(int(c) for c in r) for r in rows]
     if not rows:
         raise ValueError("empty system; pass at least one row")
@@ -236,51 +217,7 @@ def _checked_rows(rows):
     for r in rows:
         if len(r) != k:
             raise ValueError("ragged matrix")
-    return rows
-
-
-def hilbert_basis_completion(rows):
-    """Hilbert basis by completion over the componentwise order.
-
-    Frontier vectors t grow by one unit step e_j at a time, allowed only
-    when <Bt, Be_j> < 0, and are discarded as soon as they dominate a known
-    solution.  Exponential on systems whose minimal solutions are large;
-    kept as a reference implementation.
-    """
-    rows = _checked_rows(rows)
-    k = len(rows[0])
     if k == 0:
         return ()
-    bcols = [tuple(r[j] for r in rows) for j in range(k)]
-
-    basis = []
-    frontier = {}
-    for j in range(k):
-        t = tuple(1 if i == j else 0 for i in range(k))
-        frontier[t] = bcols[j]
-    while frontier:
-        for t, val in frontier.items():
-            if all(v == 0 for v in val) and not _dominates_any(t, basis):
-                basis.append(t)
-        nxt = {}
-        for t, val in frontier.items():
-            if all(v == 0 for v in val):
-                continue
-            for j in range(k):
-                if dot(val, bcols[j]) < 0:
-                    u = t[:j] + (t[j] + 1,) + t[j + 1:]
-                    if u in nxt or _dominates_any(u, basis):
-                        continue
-                    nxt[u] = vec_add(val, bcols[j])
-        frontier = nxt
-    minimal = [t for t in basis
-               if not any(s != t and all(a >= b for a, b in zip(t, s))
-                          for s in basis)]
-    return tuple(sorted(minimal))
-
-
-def _dominates_any(t, basis):
-    for s in basis:
-        if all(a >= b for a, b in zip(t, s)):
-            return True
-    return False
+    from ._hilbert import hilbert_basis_pointed
+    return hilbert_basis_pointed(rows, k)

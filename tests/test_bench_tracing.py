@@ -7,9 +7,11 @@ installs the tracer as a benchmark job does and checks that every
 per-layer metric named in BENCHMARK.json can still be derived.  Another
 runs one cycle of traced jobs per workload and applies the layer checks
 of a traced benchmark run, which fail when a workload stops calling a
-layer its purpose names (or calls one it must not).
+layer its purpose names (or calls one it must not).  A third keeps the
+boundary in the other direction: the package never imports `bench`.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -98,3 +100,25 @@ def test_one_traced_cycle_per_workload_passes_the_layer_checks():
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == []
+
+
+def test_src_never_imports_bench():
+    src = os.path.join(ROOT, "src")
+    scanned = 0
+    for folder, _, files in os.walk(src):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                assert all(n.split(".")[0] != "bench" for n in names), path
+            scanned += 1
+    assert scanned >= 10

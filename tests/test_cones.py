@@ -384,10 +384,22 @@ def test_dd_and_every_suffix_match_reference(case):
 
 
 def _assert_plan_facets(cols, d):
-    plan = _plan_cached(cols, d)
-    ocols, suffix_rows = plan[1], plan[3]
-    for k in range(len(ocols)):
-        assert suffix_rows[k] == dd_convert(cone(ocols[k:], d)).inequalities
+    order, w, rows, steps = _plan_cached(cols, d)
+    ocols = [cols[i] for i in order]
+    assert rows == dd_convert(cone(ocols, d)).inequalities
+    for k, (col, wc, eqs, ineqs) in enumerate(steps):
+        assert col == ocols[k] and wc == dot(w, col)
+        later = ocols[k + 1:]
+        want = (dd_convert(cone(later, d)).inequalities if later else
+                tuple(v for i in range(d) for v in
+                      (tuple(int(j == i) for j in range(d)),
+                       tuple(-int(j == i) for j in range(d)))))
+        # the plan keeps the rows that the column moves, with their steps
+        moved = [m for m in want if dot(m, col)]
+        got = [m for m, _ in ineqs]
+        got += [v for m, _ in eqs for v in (m, vec_neg(m))]
+        assert sorted(got) == sorted(moved)
+        assert all(s == dot(m, col) for m, s in eqs + ineqs)
 
 
 def test_plan_suffix_facets_match_dd_convert():

@@ -12,7 +12,6 @@ from chromatic_semigroups import (
     is_member,
     iter_solutions,
 )
-from chromatic_semigroups.diophantine import hilbert_basis_completion
 from chromatic_semigroups.errors import NotPointedError
 
 SIX_COIN_COLUMNS = tuple((v,) for v in (9, 16, 11, 14, 12, 13))
@@ -93,6 +92,50 @@ def test_hilbert_basis_two_equations_against_bruteforce():
     assert basis == tuple(sorted(minimal))
 
 
+def hilbert_basis_completion(rows):
+    """Hilbert basis by completion over the componentwise order.
+
+    Frontier vectors t grow by one unit step e_j at a time, allowed only
+    when <Bt, Be_j> < 0, and are discarded as soon as they dominate a known
+    solution.  Exponential on systems whose minimal solutions are large;
+    the reference for `hilbert_basis_homogeneous` on small systems.
+    """
+    k = len(rows[0])
+    bcols = [tuple(r[j] for r in rows) for j in range(k)]
+
+    basis = []
+    frontier = {}
+    for j in range(k):
+        t = tuple(1 if i == j else 0 for i in range(k))
+        frontier[t] = bcols[j]
+    while frontier:
+        for t, val in frontier.items():
+            if all(v == 0 for v in val) and not _dominates_any(t, basis):
+                basis.append(t)
+        nxt = {}
+        for t, val in frontier.items():
+            if all(v == 0 for v in val):
+                continue
+            for j in range(k):
+                if sum(a * b for a, b in zip(val, bcols[j])) < 0:
+                    u = t[:j] + (t[j] + 1,) + t[j + 1:]
+                    if u in nxt or _dominates_any(u, basis):
+                        continue
+                    nxt[u] = tuple(a + b for a, b in zip(val, bcols[j]))
+        frontier = nxt
+    minimal = [t for t in basis
+               if not any(s != t and all(a >= b for a, b in zip(t, s))
+                          for s in basis)]
+    return tuple(sorted(minimal))
+
+
+def _dominates_any(t, basis):
+    for s in basis:
+        if all(a >= b for a, b in zip(t, s)):
+            return True
+    return False
+
+
 def test_hilbert_matches_completion_reference():
     rng = random.Random(5)
     for _ in range(25):
@@ -164,31 +207,59 @@ def test_count_monotone_in_allowed():
 
 
 def test_enumeration_agrees_with_witness_bounded_scan_signed():
-    # signed entries: the witness functional supplies the grid bounds
+    # signed entries: the witness functional supplies the grid bounds.  The
+    # search yields the solutions in lexicographic order over the plan's
+    # column order, and `is_member`'s witness is the first of them.  Some
+    # cases repeat a column or have a coordinate that one column alone
+    # touches, where a row of the later columns' cone fixes a multiplicity.
     from chromatic_semigroups.cones import cone, is_pointed
+    from chromatic_semigroups.diophantine import _plan_cached
     rng = random.Random(55)
-    done = 0
-    while done < 25:
+    shape = random.Random(56)
+    done = found = 0
+    while done < 60:
         d = rng.randint(1, 3)
         n = rng.randint(1, 5)
         cols = [tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(n)]
+        kind = shape.choice(["plain", "repeat", "lone"])
+        if kind == "repeat":
+            cols.insert(shape.randrange(n + 1), shape.choice(cols))
+        elif kind == "lone":
+            j = shape.randrange(d)
+            cols = [c[:j] + ((c[j] or 1) if i == 0 else 0,) + c[j + 1:]
+                    for i, c in enumerate(cols)]
+            shape.shuffle(cols)
         if any(not any(c) for c in cols):
             continue
         pointed, w = is_pointed(cone(cols, d))
         if not pointed:
             continue
-        b = tuple(rng.randint(-30, 30) for _ in range(d))
+        if shape.random() < 0.5:
+            b = tuple(rng.randint(-30, 30) for _ in range(d))
+        else:  # a semigroup element, so that solutions are common
+            mult = [shape.randint(0, 3) for _ in cols]
+            b = tuple(sum(m * c[j] for m, c in zip(mult, cols))
+                      for j in range(d))
+        inst = DiophantineInstance(tuple(cols), b)
         wb = sum(x * y for x, y in zip(w, b))
         if wb < 0:
-            assert enumerate_solutions(
-                DiophantineInstance(tuple(cols), b)) == ()
+            assert enumerate_solutions(inst) == ()
+            assert is_member(inst) == (False, None)
             done += 1
             continue
         bound = [wb // sum(x * y for x, y in zip(w, c)) for c in cols]
+        if prod(v + 1 for v in bound) > 20000:
+            continue  # keep the grid scan small
         want = tuple(brute_solutions(cols, b, bound))
-        got = enumerate_solutions(DiophantineInstance(tuple(cols), b))
-        assert got == want
+        assert enumerate_solutions(inst) == want
+        order = _plan_cached(tuple(cols), d)[0]
+        in_order = sorted(want, key=lambda x: [x[i] for i in order])
+        assert list(iter_solutions(inst)) == in_order
+        assert is_member(inst) == ((True, in_order[0]) if want
+                                   else (False, None))
+        found += bool(want)
         done += 1
+    assert found >= 20
 
 
 def test_enumeration_agrees_with_bounded_grid_scan():

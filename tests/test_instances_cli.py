@@ -392,6 +392,7 @@ def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
         (["quasipoly", "--k", "3", two_color_path], 2),
         (["cteg", "--n", "3"], 0),
         (["cteg", "--n", "0"], 2),
+        (["cteg", "--n", "14300"], 2),  # entries past the int-to-str limit
         (["reduce", "--k", "2", "--mode", "b", two_color_path], 0),
         (["reduce", "--k", "1", "--mode", "b", two_color_path], 2),
         # the reduction reads values only, so the gap cap does not apply
