@@ -1,7 +1,7 @@
 """Small exact linear-algebra helpers on tuples of ints / Fractions."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def dot(u, v):
@@ -35,9 +35,7 @@ def primitive(v):
     """
     denoms = [a.denominator for a in v if isinstance(a, Fraction)]
     if denoms:
-        mult = 1
-        for d in denoms:
-            mult = mult * d // gcd(mult, d)
+        mult = lcm(*denoms)
         ints = tuple(int(a * mult) for a in v)
     else:
         ints = tuple(int(a) for a in v)
@@ -96,13 +94,3 @@ def reduce_mod_rows(v, rref_rows, pivots):
             for j in range(len(w)):
                 w[j] -= f * row[j]
     return tuple(w)
-
-
-def lcm_all(values):
-    out = 1
-    for v in values:
-        v = abs(v)
-        if v == 0:
-            continue
-        out = out * v // gcd(out, v)
-    return out

@@ -5,15 +5,15 @@ Cones are handled entirely over arbitrary-precision rationals: generator
 by the double description method (one incremental pass that carries each
 ray's zero set as a bit mask and can report every intermediate cone),
 pointedness read off the dual cone, and exact intersections with
-canonically normalized extreme rays.  An exact Fraction LP
-(`rational_feasible`) is kept as public API and as the tests' independent
-reference; no other function here calls it.
+canonically normalized extreme rays.  Feasibility of affine inequality
+systems (`rational_feasible`, public API that no other function here
+calls) is read off the same double description; the package holds no LP.
 """
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 
-from . import _simplex
 from ._linalg import (
     dot,
     is_zero,
@@ -192,34 +192,27 @@ def rational_feasible(rows, strict=()):
 
     Each row has length m+1 and reads a . x >= c with c the trailing entry;
     row indices listed in `strict` are required to hold strictly.  Returns a
-    tuple of Fractions or None; deterministic (Bland's rule throughout).
+    tuple of Fractions or None; `()` for no rows.  The rows become the cone
+    {(x, t) : a . x >= c t, t >= 0}, read off the double description.  Every
+    row vanishes on its lineality, so a row positive anywhere on the cone
+    is positive at z, the sum of its extreme rays: the system is feasible
+    iff t and every strict row are positive at z, and then z / t is a
+    solution.
     """
-    rows = [tuple(r) for r in rows]
+    rows = [tuple(Fraction(c) for c in r) for r in rows]
     if not rows:
         return ()
     m = len(rows[0]) - 1
+    if any(len(r) != m + 1 for r in rows):
+        raise ValueError("ragged inequality system")
     strict = frozenset(strict)
-    use_t = bool(strict)
-    nvars = 2 * m + (1 if use_t else 0)
-    constraints = []
-    for i, r in enumerate(rows):
-        if len(r) != m + 1:
-            raise ValueError("ragged inequality system")
-        a, const = r[:m], r[m]
-        coeffs = [-x for x in a] + [x for x in a]
-        if use_t:
-            coeffs.append(1 if i in strict else 0)
-        constraints.append((coeffs, -const))
-    objective = [0] * nvars
-    if use_t:
-        constraints.append(([0] * (2 * m) + [1], 1))
-        objective[-1] = 1
-    status, value, z = _simplex.maximize(objective, constraints)
-    if status != _simplex.OPTIMAL:
+    cone_rows = tuple(r[:m] + (-r[m],) for r in rows)
+    rays = _generator_description(cone_rows + ((0,) * m + (1,),), m + 1)[1]
+    z = [sum(col) for col in zip(*rays)] or [0] * (m + 1)
+    if z[m] <= 0 or any(dot(r, z) <= 0 for i, r in enumerate(cone_rows)
+                        if i in strict):
         return None
-    if use_t and value == 0:
-        return None
-    return tuple(z[i] - z[m + i] for i in range(m))
+    return tuple(Fraction(c, z[m]) for c in z[:m])
 
 
 # ---------------------------------------------------------------------------

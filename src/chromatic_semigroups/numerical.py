@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
-from math import factorial, gcd, inf
+from math import factorial, gcd, inf, lcm
 
-from ._linalg import lcm_all
 from .errors import NotPrimitiveError, SemigroupError, TheoremContractError
 
 _ZERO_NOTE = ("0 is counted as a chromatic gap: the empty solution uses no "
@@ -494,7 +493,7 @@ def fit_quasipolynomial(s, k):
     if not 1 <= k <= s.n_colors:
         raise ValueError(f"k must be between 1 and {s.n_colors}")
     n = len(s.generators)
-    period = lcm_all(s.generators)
+    period = lcm(*s.generators)
     counts = _mask_tables(s.classes, n * period, k)
     # rows[j][r0 - 1] is the count at x_j = r0 + jL, r0 = 1..L
     rows = [counts[1 + j * period:1 + (j + 1) * period] for j in range(n)]

@@ -1,10 +1,12 @@
-"""Exact two-phase simplex over the rationals with Bland's pivot rule.
+"""Exact LP feasibility, the tests' independent reference for the double
+description.
 
-Small and deterministic; every coefficient is a Fraction, so there is no
-tolerance anywhere.  Backs `cones.rational_feasible`, which no computation
-in the package calls: it is public API and the tests' independent reference
-for the double description (membership of rational points in cones,
-pointedness).
+A two-phase simplex over the rationals with Bland's pivot rule: small and
+deterministic, and every coefficient is a Fraction, so there is no
+tolerance anywhere.  `lp_feasible` decides the same systems as the
+package's `cones.rational_feasible`, which reads its answer off the double
+description instead; the tests check the two against each other and check
+membership of rational points in cones and pointedness against the LP.
 """
 
 from fractions import Fraction
@@ -12,6 +14,43 @@ from fractions import Fraction
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+
+def lp_feasible(rows, strict=()):
+    """Exact feasibility for a system of affine inequalities over Q.
+
+    Each row has length m+1 and reads a . x >= c with c the trailing entry;
+    row indices listed in `strict` are required to hold strictly.  Returns a
+    tuple of Fractions or None; `()` for no rows.  With strict rows, one
+    margin t in [0, 1] is asked of every strict row (a . x >= c + t) and
+    maximized: the system is feasible iff the optimum is positive.
+    """
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        return ()
+    m = len(rows[0]) - 1
+    strict = frozenset(strict)
+    use_t = bool(strict)
+    nvars = 2 * m + (1 if use_t else 0)
+    constraints = []
+    for i, r in enumerate(rows):
+        if len(r) != m + 1:
+            raise ValueError("ragged inequality system")
+        a, const = r[:m], r[m]
+        coeffs = [-x for x in a] + [x for x in a]
+        if use_t:
+            coeffs.append(1 if i in strict else 0)
+        constraints.append((coeffs, -const))
+    objective = [0] * nvars
+    if use_t:
+        constraints.append(([0] * (2 * m) + [1], 1))
+        objective[-1] = 1
+    status, value, z = maximize(objective, constraints)
+    if status != OPTIMAL:
+        return None
+    if use_t and value == 0:
+        return None
+    return tuple(z[i] - z[m + i] for i in range(m))
 
 
 def maximize(objective, constraints):

@@ -8,7 +8,8 @@ per-layer metric named in BENCHMARK.json can still be derived.  Another
 runs one cycle of traced jobs per workload and applies the layer checks
 of a traced benchmark run, which fail when a workload stops calling a
 layer its purpose names (or calls one it must not).  A third keeps the
-boundary in the other direction: the package never imports `bench`.
+boundary in the other direction: the package never imports `bench`, the
+tests or the LP kept among them.
 """
 
 import ast
@@ -102,6 +103,12 @@ def test_one_traced_cycle_per_workload_passes_the_layer_checks():
     assert json.loads(run.stdout) == []
 
 
+# top-level modules that only a checkout (with the test runner's path)
+# provides, and the LP that moved out of the package into the tests
+OUTSIDE_SRC = {"bench", "tests", "conftest", "lp_reference"}
+GONE_FROM_SRC = {"_simplex"}
+
+
 def test_src_never_imports_bench():
     src = os.path.join(ROOT, "src")
     scanned = 0
@@ -115,10 +122,16 @@ def test_src_never_imports_bench():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [a.name for a in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    names = [node.module]
+                    top = names
+                elif isinstance(node, ast.ImportFrom):
+                    # `from . import x` and `from .x import y` name x too
+                    names = [node.module or ""] + [a.name for a in node.names]
+                    top = [node.module or ""] if node.level == 0 else []
                 else:
                     continue
-                assert all(n.split(".")[0] != "bench" for n in names), path
+                assert all(n.split(".")[0] not in OUTSIDE_SRC
+                           for n in top), path
+                assert not GONE_FROM_SRC & {part for n in names
+                                            for part in n.split(".")}, path
             scanned += 1
     assert scanned >= 10

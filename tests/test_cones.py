@@ -38,6 +38,7 @@ from chromatic_semigroups.errors import (
     DimensionMismatchError,
     TheoremContractError,
 )
+from lp_reference import lp_feasible
 
 
 def _dot(u, v):
@@ -82,7 +83,7 @@ def _conic_combination_exists(gens, p):
         coeffs = tuple(g[j] for g in gens)
         rows.append(coeffs + (p[j],))
         rows.append(tuple(-x for x in coeffs) + (-p[j],))
-    return rational_feasible(rows) is not None
+    return lp_feasible(rows) is not None
 
 
 def test_dd_trivial_cone_pins_origin():
@@ -170,6 +171,48 @@ def test_rational_feasible_basic():
         assert _dot(row, point) > 0
 
 
+def test_rational_feasible_edge_rows():
+    assert rational_feasible([]) == ()
+    assert rational_feasible([(5,), (-1,)]) is None  # 0 >= -5, 0 >= 1
+    assert rational_feasible([(-1,)], strict=[0]) == ()  # 0 > -1
+    assert rational_feasible([(0, 0)], strict=[0]) is None  # 0 > 0
+    assert rational_feasible([(0, 0, -1), (1, 0, 0)]) is not None
+    assert rational_feasible([(0, 0, 1), (1, 0, 0)]) is None
+    with pytest.raises(ValueError):
+        rational_feasible([(1, 0), (1, 0, 0)])
+
+
+@st.composite
+def _affine_systems(draw):
+    """Rows a . x >= c in 0-4 variables with Fraction rows, zero rows and
+    rows (0, ..., 0, c) mixed in, and a random strict set."""
+    m = draw(st.integers(0, 4))
+    entry = st.integers(-3, 3)
+    fraction = st.builds(Fraction, entry, st.integers(1, 3))
+    row = st.one_of(st.tuples(*[entry] * (m + 1)),
+                    st.tuples(*[fraction] * (m + 1)),
+                    st.builds(lambda c: (0,) * m + (c,), entry),
+                    st.just((0,) * (m + 1)))
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    strict = draw(st.sets(st.integers(0, len(rows) - 1)))
+    return rows, strict
+
+
+@settings(max_examples=400)
+@given(_affine_systems())
+def test_rational_feasible_matches_lp(case):
+    rows, strict = case
+    point = rational_feasible(rows, strict)
+    assert (point is None) == (lp_feasible(rows, strict) is None)
+    if point is None:
+        return
+    m = len(rows[0]) - 1
+    assert len(point) == m and all(isinstance(x, Fraction) for x in point)
+    for i, row in enumerate(rows):
+        slack = _dot(row[:m], point) - row[m]
+        assert slack > 0 if i in strict else slack >= 0, (i, row)
+
+
 def test_cone_drops_zero_generators_with_flag():
     c = cone([(0, 0), (1, 0)])
     assert c.zero_generators_dropped
@@ -221,7 +264,7 @@ def test_pointed_witness_random():
                 for _ in range(rng.randint(1, 5))]
         c = cone(gens, m)
         flag, w = is_pointed(c)
-        lp = rational_feasible([g + (1,) for g in c.generators]) is not None
+        lp = lp_feasible([g + (1,) for g in c.generators]) is not None
         assert flag == lp, c.generators
         if not flag or not c.generators:
             continue

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 from math import prod
 
@@ -12,6 +13,7 @@ from chromatic_semigroups import (
     is_member,
     iter_solutions,
 )
+from chromatic_semigroups import diophantine as dio
 from chromatic_semigroups.errors import NotPointedError
 
 SIX_COIN_COLUMNS = tuple((v,) for v in (9, 16, 11, 14, 12, 13))
@@ -325,3 +327,45 @@ def test_member_agrees_with_bruteforce_and_first_solution_signed():
             assert x is None
         done += 1
     assert hits >= 50
+
+
+def _search_calls(fn, inst):
+    """fn(inst) and the number of times the search's inner `descend` was
+    entered (each new node and each resumption of a node's generator)."""
+    code = dio._search.__code__
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code.co_name == "descend"
+                and frame.f_code.co_filename == code.co_filename):
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = fn(inst)
+    finally:
+        sys.setprofile(None)
+    return out, calls[0]
+
+
+def test_search_pruning_does_not_widen():
+    # the leaf's residual-is-zero check keeps answers right under any
+    # looser bound, so only the size of the search shows a pruning rule
+    # going missing.  Counts are those of the one-interval search; in the
+    # 2-D and 3-D instances, one column alone moves the last coordinate,
+    # so the rows vanishing on the later columns fix its multiplicity
+    from chromatic_semigroups.colored import build_unique_expression_family
+    fam = build_unique_expression_family(6)
+    cases = [
+        (fam.colored.columns, fam.target, 6, 303, 58),
+        (((1, 0), (2, 0), (0, 5), (3, 1)), (17, 21), 8, 59, 10),
+        (((1, 0, 0), (0, 1, 0), (1, 2, 0), (2, 1, 0), (0, 0, 7), (1, 1, 3)),
+         (9, 8, 23), 9, 99, 16),
+        (SIX_COIN_COLUMNS, (70,), 32, 588, 24),
+    ]
+    for cols, rhs, n_sols, most_enum, most_member in cases:
+        inst = DiophantineInstance(cols, rhs)
+        sols, calls = _search_calls(enumerate_solutions, inst)
+        assert len(sols) == n_sols and calls <= most_enum, (rhs, calls)
+        (found, _), calls = _search_calls(is_member, inst)
+        assert found and calls <= most_member, (rhs, calls)
