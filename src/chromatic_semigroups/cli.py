@@ -25,6 +25,7 @@ from .colored import (
     build_unique_expression_family,
     caratheodory_exceptions,
     classify,
+    count_chromatic_solutions,
     verify_unique_expressions,
 )
 from .diophantine import (
@@ -287,11 +288,8 @@ def _run_count(doc, args):
     if doc.dimension == 1:
         count = count_k_chromatic(doc.to_numerical(), b[0], args.k)
     else:
-        colored = doc.to_colored_semigroup()
-        count = sum(
-            1 for x in enumerate_solutions(
-                DiophantineInstance(colored.columns, b))
-            if classify(colored, x).chromatic_level >= args.k)
+        count = count_chromatic_solutions(
+            doc.to_colored_semigroup(), b, args.k)
     return {"target": list(b), "k": args.k, "count": count}
 
 

@@ -4,15 +4,17 @@ by how many colors they use.
 A coloring partitions the column indices (the same vector may appear under
 several colors as distinct columns).  Solutions of A x = b are classified
 as monochromatic / k-chromatic / chromatic / colorful from the color
-classes touched by their support.
+classes touched by their support.  The k-chromatic, colorful and counting
+questions run one search that carries the classes used (`_search`).
 """
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
-from ._linalg import is_zero, vec_add, vec_sub
+from ._linalg import is_zero, vec_add
 from .cones import cone, is_pointed
-from .diophantine import DiophantineInstance, enumerate_solutions, is_member
+from .diophantine import (
+    DiophantineInstance, _search, enumerate_solutions, is_member)
 from .errors import NotPointedError, TheoremContractError
 from .numerical import _MODULUS_CAP, _residue_minima
 from .semigroups import AffineSemigroup, intersect_semigroup_family
@@ -103,54 +105,49 @@ def _require_pointed(s):
 def find_k_chromatic(s, b, k):
     """Some solution of A x = b using at least k colors, or None.
 
-    A solution uses >= k colors exactly when b is one column from each of k
-    distinct classes plus an arbitrary semigroup element, so the search
-    runs over those offset picks and one membership query each; the
-    full-enumeration route stays available as an independent oracle in the
-    tests.
+    One search over all columns carries the classes used and cuts a branch
+    whose used and later classes number fewer than k.  Positive 1-D
+    columns use the translate decomposition instead: b minus one column
+    from each of k distinct classes, tested against the residue minima.
     """
     if not 1 <= k <= s.n_colors:
         raise ValueError(f"k must be between 1 and {s.n_colors}")
-    _require_pointed(s)
-    query = _membership_query(s)
     b = tuple(b)
+    if len(b) != s.dimension:
+        raise ValueError(f"target {b} does not have dimension {s.dimension}")
+    values = tuple(col[0] for col in s.columns)
+    if s.dimension != 1 or not 0 < min(values) <= _MODULUS_CAP:
+        return next(_search(DiophantineInstance(s.columns, b), s.classes, k),
+                    None)
+    walk = _minima_walk(values)
     for chosen in combinations(range(s.n_colors), k):
         for pick in product(*[s.classes[i] for i in chosen]):
-            residual = b
-            for i in pick:
-                residual = vec_sub(residual, s.columns[i])
-            found, x = query(residual)
-            if found:
-                full = list(x)
+            x = walk(b[0] - sum(values[i] for i in pick))
+            if x is not None:
                 for i in pick:
-                    full[i] += 1
-                return tuple(full)
+                    x[i] += 1
+                return tuple(x)
     return None
 
 
-def _membership_query(s):
-    """residual -> (found, solution over all columns), as is_member answers.
+def _minima_walk(values):
+    """r -> a solution over the positive 1-D columns `values`, or None.
 
-    Positive 1-D columns read membership off the residue minima, r >= m[r
-    mod a] (m is inf on the classes no sum reaches, as when the columns
-    share a gcd).  The witness takes the first column that leaves a member
-    as often as it still does, then the next: a column skipped once stays
-    skipped (r - v' - v a member makes r - v one), and r - t v is a member
-    for a prefix of t, so a binary search finds each multiplicity.  Other
-    columns ask the pruned search.
+    Membership is read off the residue minima, r >= m[r mod a] (m is inf
+    on the classes no sum reaches, as when the columns share a gcd).  The
+    witness takes the first column that leaves a member as often as it
+    still does, then the next: a column skipped once stays skipped
+    (r - v' - v a member makes r - v one), and r - t v is a member for a
+    prefix of t, so a binary search finds each multiplicity.
     """
-    values = tuple(col[0] for col in s.columns)
-    if s.dimension != 1 or not 0 < min(values) <= _MODULUS_CAP:
-        return lambda r: is_member(DiophantineInstance(s.columns, r))
     minima = _residue_minima(values, (0,))
 
     def member(r):
         return r >= minima[r % len(minima)]
 
-    def walk(residual):
-        r = residual[0]
+    def walk(r):
         if not member(r):
-            return False, None
+            return None
         x = []
         for v in values:
             lo, hi = 0, r // v  # member(r - lo * v) holds
@@ -162,7 +159,7 @@ def _membership_query(s):
                     hi = mid - 1
             x.append(lo)
             r -= lo * v
-        return True, x
+        return x
     return walk
 
 
@@ -182,16 +179,17 @@ def _solve_within(s, idx, b):
 def find_colorful(s, b):
     """A solution using at most one column per color, or None.
 
-    Iterates the selections of at most one column per class and solves each
-    restricted system.
+    One search over all columns carries the classes used and keeps a
+    column at x = 0 once another column of its class is nonzero.
     """
-    _require_pointed(s)
-    b = tuple(b)
-    for choice in product(*[(None,) + cls for cls in s.classes]):
-        full = _solve_within(s, sorted(i for i in choice if i is not None), b)
-        if full is not None:
-            return full
-    return None
+    inst = DiophantineInstance(s.columns, b)
+    return next(_search(inst, s.classes, colorful=True), None)
+
+
+def count_chromatic_solutions(s, b, k):
+    """Number of solutions of A x = b using at least k colors."""
+    inst = DiophantineInstance(s.columns, b)
+    return sum(1 for _ in _search(inst, s.classes, k))
 
 
 def monochromatic_profile(s, b):

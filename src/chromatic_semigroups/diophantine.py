@@ -4,11 +4,11 @@ Enumeration relies on a pointedness witness w (an integer functional that
 is positive on every column, read off the double description of the
 column cone) and on the description of the cone of every suffix of the
 column list, all read off one reverse double description pass.  One
-depth-first search serves enumeration and membership (its first
-solution).  At each column the budget <w, residual> and the rows of the
-later columns' cone bound the column's multiplicity to one interval, and
-residual states already shown dead are skipped.  Homogeneous systems get
-their Hilbert basis geometrically (see `_hilbert`).
+depth-first search serves enumeration, membership (its first solution)
+and the colored questions, carrying the classes used.  At each column
+the budget <w, residual> and the rows of the later columns' cone bound
+the column's multiplicity to one interval, and dead states are skipped.
+Homogeneous systems get their Hilbert basis geometrically (see `_hilbert`).
 """
 
 from dataclasses import dataclass
@@ -131,7 +131,7 @@ def _plan(inst):
     return _plan_cached(cols, len(inst.rhs))
 
 
-def _search(inst):
+def _search(inst, classes=(), need=0, colorful=False):
     """Depth-first search over the columns in plan order.
 
     A target outside the cone of all columns has no solution.  Otherwise
@@ -141,10 +141,19 @@ def _search(inst):
     m . residual >= x m . col (a bound from above or below, by the sign of
     m . col), and each row vanishing on the later columns fixes
     x = m . residual / m . col.  x runs from lo up, so solutions come in
-    lexicographic order over the plan's columns.  A state (k, residual)
-    whose subtree yielded nothing is recorded as dead and skipped when
-    another prefix reaches it: the subtree depends only on that pair,
-    since <w, residual> fixes the remaining budget.
+    lexicographic order over the plan's columns.
+
+    Given color `classes` (tuples of column indices), the search carries
+    `used`, the bit mask of the classes with a column at x > 0 so far, and
+    yields only the solutions using at least `need` classes or, if
+    `colorful`, at most one column per class.  A completion adds only the
+    classes of later columns, so a state whose used and later classes
+    number fewer than `need` is cut; in colorful mode a column of a used
+    class stays at 0.  A state (k, residual, used) whose subtree yielded
+    nothing is recorded as dead and skipped when another prefix reaches
+    it: <w, residual> fixes the remaining budget and `used` which
+    completions qualify.  Once `need` classes are used all completions
+    qualify, so `used` becomes the mask of all classes: one key for them.
     """
     rhs = inst.rhs
     plan = _plan(inst)
@@ -156,12 +165,19 @@ def _search(inst):
     if any(dot(m, rhs) < 0 for m in rows):
         return
     n = len(order)
+    bit = {i: 1 << c for c, cls in enumerate(classes) for i in cls}
+    bits = [bit.get(i, 0) for i in order]
+    # the classes of the columns from k on (an OR of distinct powers of 2)
+    later = [sum(set(bits[k:])) for k in range(n + 1)]
+    full = later[0]
 
     acc = [0] * n
     dead = set()
     hits = [0]
 
-    def descend(k, residual, wres):
+    def descend(k, residual, wres, used):
+        if used != full and (used | later[k]).bit_count() < need:
+            return
         if k == n:
             if all(v == 0 for v in residual):
                 hits[0] += 1
@@ -170,12 +186,12 @@ def _search(inst):
                     sol[i] = acc[pos]
                 yield tuple(sol)
             return
-        key = (k, residual)
+        key = (k, residual, used)
         if key in dead:
             return
         before = hits[0]
         col, wc, eqs, ineqs = steps[k]
-        lo, hi = 0, wres // wc
+        lo, hi = 0, (0 if colorful and used & bits[k] else wres // wc)
         for m, s in eqs:
             q, r = divmod(dot(m, residual), s)
             if r or not lo <= q <= hi:
@@ -187,18 +203,21 @@ def _search(inst):
                 hi = min(hi, dot(m, residual) // s)
             else:
                 lo = max(lo, -(dot(m, residual) // -s))
+        grown = used | bits[k]
+        if grown != used and not colorful and grown.bit_count() >= need:
+            grown = full
         if lo <= hi:
             res = tuple(a - lo * c for a, c in zip(residual, col))
             wres -= lo * wc
             for x in range(lo, hi + 1):
                 acc[k] = x
-                yield from descend(k + 1, res, wres)
+                yield from descend(k + 1, res, wres, grown if x else used)
                 res = tuple(a - c for a, c in zip(res, col))
                 wres -= wc
         if hits[0] == before:
             dead.add(key)
 
-    yield from descend(0, rhs, dot(w, rhs))
+    yield from descend(0, rhs, dot(w, rhs), 0)
 
 
 def hilbert_basis_homogeneous(rows):

@@ -3,6 +3,8 @@ import time
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromatic_semigroups import (
     ColoredSemigroup,
@@ -13,10 +15,12 @@ from chromatic_semigroups import (
     enumerate_solutions,
     find_colorful,
     find_k_chromatic,
+    is_member,
     lift_family,
     monochromatic_profile,
     verify_unique_expressions,
 )
+from chromatic_semigroups.colored import count_chromatic_solutions
 from chromatic_semigroups.errors import NotPointedError
 
 from conftest import EXAMPLE_32_TARGET
@@ -180,9 +184,137 @@ def test_lift_family_monochromatic_but_not_colorful():
 
 
 def test_not_pointed_rejected():
-    s = ColoredSemigroup(1, ((1,), (-1,)), ((0,), (1,)))
-    with pytest.raises(NotPointedError):
-        find_k_chromatic(s, (5,), 1)
+    line = ColoredSemigroup(1, ((1,), (-1,)), ((0,), (1,)))
+    plane = ColoredSemigroup(2, ((1, 0), (-1, 0), (0, 1)), ((0,), (1, 2)))
+    for s, b in ((line, (5,)), (plane, (2, 3))):
+        with pytest.raises(NotPointedError):
+            find_k_chromatic(s, b, 1)
+        with pytest.raises(NotPointedError):
+            find_k_chromatic(s, b, 2)
+        with pytest.raises(NotPointedError):
+            find_colorful(s, b)
+
+
+def test_find_k_chromatic_rejects_a_target_of_the_wrong_length():
+    s = ColoredSemigroup(1, ((3,), (5,)), ((0,), (1,)))
+    for b in ((8, 99), ()):
+        with pytest.raises(ValueError):
+            find_k_chromatic(s, b, 2)
+    plane = ColoredSemigroup(2, ((1, 0), (0, 1)), ((0,), (1,)))
+    with pytest.raises(ValueError):
+        find_k_chromatic(plane, (1, 1, 1), 2)
+    with pytest.raises(ValueError):
+        find_colorful(plane, (1,))
+
+
+# ---------------------------------------------------------------------------
+# oracles: one membership query per choice
+
+
+def _pick_loop(s, b, k):
+    """A solution with >= k colors as one column from each of k distinct
+    classes plus a member of the semigroup, over every such pick."""
+    for chosen in combinations(range(s.n_colors), k):
+        for pick in product(*[s.classes[i] for i in chosen]):
+            residual = list(b)
+            for i in pick:
+                residual = [r - c for r, c in zip(residual, s.columns[i])]
+            found, x = is_member(DiophantineInstance(s.columns, residual))
+            if found:
+                x = list(x)
+                for i in pick:
+                    x[i] += 1
+                return tuple(x)
+    return None
+
+
+def _restricted_solves(s, b):
+    """A colorful solution from one restricted solve per selection of at
+    most one column per class."""
+    for choice in product(*[(None,) + cls for cls in s.classes]):
+        idx = sorted(i for i in choice if i is not None)
+        found, sub = is_member(
+            DiophantineInstance(tuple(s.columns[i] for i in idx), b))
+        if found:
+            x = [0] * len(s.columns)
+            for i, v in zip(idx, sub):
+                x[i] = v
+            return tuple(x)
+    return None
+
+
+def _solves(s, x, b):
+    return all(sum(v * col[j] for v, col in zip(x, s.columns)) == b[j]
+               for j in range(s.dimension))
+
+
+@st.composite
+def _colored_instances(draw):
+    d = draw(st.integers(1, 3))
+    entry = st.integers(0, 4)
+    column = st.tuples(*[entry] * d).filter(any)
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    cols = draw(st.lists(column, min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))  # classes need not be contiguous
+    starts = [sum(sizes[:j]) for j in range(len(sizes))]
+    classes = tuple(tuple(perm[a:a + m]) for a, m in zip(starts, sizes))
+    b = draw(st.tuples(*[st.integers(0, 12)] * d))
+    return ColoredSemigroup(d, tuple(cols), classes), b
+
+
+@settings(max_examples=300)
+@given(_colored_instances())
+def test_colored_search_matches_the_choice_loops(case):
+    s, b = case
+    sols = enumerate_solutions(DiophantineInstance(s.columns, b))
+    levels = [classify(s, x).chromatic_level for x in sols]
+    for k in range(1, s.n_colors + 1):
+        got = find_k_chromatic(s, b, k)
+        assert (got is None) == (_pick_loop(s, b, k) is None)
+        if got is not None:
+            assert _solves(s, got, b)
+            assert classify(s, got).chromatic_level >= k
+        assert count_chromatic_solutions(s, b, k) == sum(
+            level >= k for level in levels)
+    got = find_colorful(s, b)
+    assert (got is None) == (_restricted_solves(s, b) is None)
+    assert (got is None) == (not any(classify(s, x).is_colorful
+                                     for x in sols))
+    if got is not None:
+        assert _solves(s, got, b) and classify(s, got).is_colorful
+
+
+def _three_per_class(ell):
+    """ell classes of 3 columns (randint(0, 4), randint(1, 4)), drawn class
+    by class from random.Random(0)."""
+    rng = random.Random(0)
+    cols = [(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(3 * ell)]
+    return ColoredSemigroup(2, tuple(cols), tuple(
+        tuple(range(3 * c, 3 * c + 3)) for c in range(ell)))
+
+
+def test_chromatic_search_on_ten_classes_is_fast():
+    # one membership query per pick took 28-34 s on a 2-core Xeon VM; the
+    # colored search takes under 0.1 s
+    s = _three_per_class(10)
+    start = time.perf_counter()
+    found = {t: find_k_chromatic(s, (t, t), 10) for t in range(7, 21)}
+    assert time.perf_counter() - start < 5
+    assert sorted(t for t, x in found.items() if x is not None) == [
+        17, 18, 19, 20]
+    for t, x in found.items():
+        if x is not None:
+            assert _solves(s, x, (t, t)) and classify(s, x).is_chromatic
+
+
+def test_colorful_search_on_six_classes_is_fast():
+    # one restricted solve per selection took 13.4-13.6 s on a 2-core Xeon
+    # VM; the colored search takes under a second
+    s = _three_per_class(6)
+    start = time.perf_counter()
+    assert find_colorful(s, (1, 1000)) is None
+    assert time.perf_counter() - start < 5
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chromatic_semigroups import parse_instance
+from chromatic_semigroups import (
+    DiophantineInstance,
+    classify,
+    enumerate_solutions,
+    parse_instance,
+)
 from chromatic_semigroups.cli import _SLICE, _dumps, _fmt, main
 from chromatic_semigroups.errors import (
     InstanceParseError,
@@ -33,6 +38,13 @@ TWO_D = {
     "colors": [{"name": "red", "generators": [[1, 0], [1, 2]]},
                {"name": "blue", "generators": [[1, 1], [0, 1]]}],
     "targets": [[3, 4]],
+}
+
+# counts at (6, 6): 11 solutions with at least one color, 9 with both
+COUNT_2D = {
+    "dimension": 2,
+    "colors": [{"name": "red", "generators": [[1, 0], [1, 2]]},
+               {"name": "blue", "generators": [[0, 1], [2, 1]]}],
 }
 
 HUGE = {
@@ -228,6 +240,23 @@ def test_solve_cli(example_one_path, capsys):
     code, out, _ = run_cli(capsys, "solve", example_one_path)
     assert code == 0
     assert "solution_count: 32" in out
+
+
+def test_count_2d_matches_enumerate_and_classify(tmp_path, capsys):
+    path = tmp_path / "count_2d.json"
+    path.write_text(json.dumps(COUNT_2D))
+    s = parse_instance(str(path)).to_colored_semigroup()
+    counts = {}
+    for b in ((6, 6), (0, 0), (5, 3), (2, 7), (9, 9)):
+        sols = enumerate_solutions(DiophantineInstance(s.columns, b))
+        for k in (1, 2):
+            code, out, _ = run_cli(capsys, "count", "--target", "%d,%d" % b,
+                                   "--k", str(k), "--json", str(path))
+            assert code == 0
+            counts[b, k] = json.loads(out)["count"]
+            assert counts[b, k] == sum(
+                classify(s, x).chromatic_level >= k for x in sols)
+    assert counts[(6, 6), 1] == 11 and counts[(6, 6), 2] == 9
 
 
 def test_cteg_verify_cli(capsys):
