@@ -4,8 +4,11 @@ Every subcommand but `cteg` reads a JSON instance document (path or "-"
 for stdin), runs one computation, and writes a single report, as indented
 text by default or as JSON with --json; both carry the same numeric
 content.  Each subcommand is declared once, in the `_SUBCOMMANDS` table.
-`main` builds the subparser of the named subcommand only (all of them for
-`--help`, an unknown name or none) and reads the instance for the handler.
+`main` reads a plain argv (the subcommand's own flags with their values,
+and the instance) straight off that table, and builds argparse only for
+help and usage errors: the subparser of the named subcommand alone (all
+of them for `--help`, an unknown name or none).  It then reads the
+instance for the handler.
 
 Exit codes: 0 success; 1 definite negative on a decision subcommand
 (`member` false, `tverberg` miss under an unmet hypothesis); 2 usage or
@@ -14,12 +17,12 @@ anomaly (a verified identity failed, which indicates a bug rather than a
 negative answer).
 """
 
-import argparse
 import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import log10
+from types import SimpleNamespace
 
 from .colored import (
     build_unique_expression_family,
@@ -61,11 +64,13 @@ _CASE_ASSERTIONS = {
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    names = [name for name in _SUBCOMMANDS if argv[:1] == [name]]
-    try:
-        args = build_parser(names or list(_SUBCOMMANDS)).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_argv(argv)
+    if args is None:  # argparse reads it, or prints help or a usage error
+        names = [name for name in _SUBCOMMANDS if argv[:1] == [name]]
+        try:
+            args = build_parser(names or list(_SUBCOMMANDS)).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     command = _SUBCOMMANDS[args.subcommand]
     try:
         doc = parse_instance(args.instance) if command.reads_instance else None
@@ -89,8 +94,63 @@ def main(argv=None):
     return 1 if payload.get("member") is False else 0  # the one negative report
 
 
+def _read_argv(argv):
+    """The namespace argparse gives a plain argv, or None for argparse.
+
+    Plain means: an exact subcommand name, then that subcommand's exact
+    flags, each but `store_true` ones followed by a value that does not
+    start with "-" (a lone "-" may), and the instance if the subcommand
+    reads one.  The options' `type`, `choices`, `required`, `default` and
+    `action` act as in argparse.  Anything else (help, `--flag=value`, an
+    abbreviation, a negative value, `--`, a bad or missing value) is left
+    to argparse, which words the help or the usage error.
+    """
+    command = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = dict((_JSON_FLAG, *command.arguments))
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-" or not token.startswith("-"):
+            positionals.append(token)
+            continue
+        spec = options.get(token)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            given[token] = True
+            continue
+        text = next(tokens, None)
+        if text is None or (text != "-" and text.startswith("-")):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if spec.get("action") == "append":
+            value = given.get(token, []) + [value]
+        given[token] = value
+    if len(positionals) != command.reads_instance:
+        return None
+    args = {"subcommand": argv[0]}
+    if positionals:
+        args["instance"] = positionals[0]
+    for flag, spec in options.items():
+        if flag not in given and spec.get("required"):
+            return None
+        unset = False if spec.get("action") == "store_true" else None
+        args[flag[2:].replace("-", "_")] = given.get(
+            flag, spec.get("default", unset))
+    return SimpleNamespace(**args)
+
+
 def build_parser(names):
     """The parser with the subparsers of `names` (table names, in order)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="chromsg",
         description="Exact computations with colored affine and numerical semigroups.")
@@ -106,9 +166,7 @@ def build_parser(names):
         p = sub.add_parser(name, help=command.summary)
         if command.reads_instance:
             p.add_argument("instance", help="instance document path, or - for stdin")
-        p.add_argument("--json", action="store_true",
-                       help="emit the report as JSON")
-        for flag, options in command.arguments:
+        for flag, options in (_JSON_FLAG, *command.arguments):
             p.add_argument(flag, **options)
     return parser
 
@@ -350,6 +408,9 @@ def _run_reduce(doc, args):
 
 _Subcommand = namedtuple(
     "_Subcommand", "handler summary arguments reads_instance", defaults=((), True))
+
+# every subcommand's first flag
+_JSON_FLAG = ("--json", dict(action="store_true", help="emit the report as JSON"))
 
 
 # Each subcommand once, in the order `--help` lists them.  Entries hold the

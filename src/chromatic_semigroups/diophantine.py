@@ -165,10 +165,14 @@ def _search(inst, classes=(), need=0, colorful=False):
     if any(dot(m, rhs) < 0 for m in rows):
         return
     n = len(order)
-    bit = {i: 1 << c for c, cls in enumerate(classes) for i in cls}
-    bits = [bit.get(i, 0) for i in order]
-    # the classes of the columns from k on (an OR of distinct powers of 2)
-    later = [sum(set(bits[k:])) for k in range(n + 1)]
+    bits = later = [0] * (n + 1)
+    if classes:
+        bit = {i: 1 << c for c, cls in enumerate(classes) for i in cls}
+        bits = [bit.get(i, 0) for i in order]
+        # the classes of the columns from k on
+        later = bits + [0]
+        for k in range(n - 1, -1, -1):
+            later[k] |= later[k + 1]
     full = later[0]
 
     acc = [0] * n

@@ -1,12 +1,14 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromatic_semigroups import (
@@ -15,6 +17,7 @@ from chromatic_semigroups import (
     enumerate_solutions,
     parse_instance,
 )
+import chromatic_semigroups.cli as cli_mod
 from chromatic_semigroups.cli import _SLICE, _dumps, _fmt, main
 from chromatic_semigroups.errors import (
     InstanceParseError,
@@ -382,11 +385,10 @@ def test_text_list_is_rendered_item_by_item(val):
     assert _fmt(val) == "[" + ", ".join(_fmt(v) for v in val) + "]"
 
 
-def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
-                                            two_d_path, example_one_path,
-                                            huge_path, wide_path,
-                                            singletons_path, capsys):
-    golden = [
+@pytest.fixture
+def golden_exit_codes(two_color_path, two_three_path, two_d_path,
+                      example_one_path, huge_path, wide_path, singletons_path):
+    return [
         (["solve", example_one_path], 0),
         (["classify", "--solution", "3,1,0,1,0,1", example_one_path], 0),
         (["member", "--target", "8", two_color_path], 0),
@@ -428,12 +430,118 @@ def test_golden_exit_codes_every_subcommand(two_color_path, two_three_path,
         (["reduce", "--k", "3", "--mode", "b", singletons_path], 0),
         (["chromatic-frobenius", "--k", "3", singletons_path], 2),
     ]
-    for argv, want in golden:
+
+
+def test_golden_exit_codes_every_subcommand(golden_exit_codes, wide_path,
+                                            capsys):
+    for argv, want in golden_exit_codes:
         code = main(list(argv))
         capsys.readouterr()
         assert code == want, (argv, code, want)
     code, out, _ = run_cli(capsys, "frobenius", wide_path)
     assert "frobenius: 998999999999" in out
+
+
+def test_plain_argv_never_builds_a_parser(golden_exit_codes, capsys,
+                                          monkeypatch):
+    # the golden argv that argparse accepts, less the one with a negative
+    # value, are plain: `main` must read them without argparse, and answer
+    # as it does through argparse, with a path and on stdin, as text and
+    # as JSON
+    def accepted(argv):
+        try:
+            cli_mod.build_parser(list(cli_mod._SUBCOMMANDS)).parse_args(argv)
+        except SystemExit:
+            return False
+        finally:
+            capsys.readouterr()
+        return True
+
+    def run(argv):
+        runs = []
+        for tail in ([], ["--json"]):
+            runs.append(run_cli(capsys, *argv, *tail))
+            for doc in (a for a in argv if a.endswith(".json")):
+                monkeypatch.setattr("sys.stdin", io.StringIO(
+                    Path(doc).read_text()))
+                stdin_argv = ["-" if a == doc else a for a in argv]
+                runs.append(run_cli(capsys, *stdin_argv, *tail))
+        return runs
+
+    plain = [(argv, want) for argv, want in golden_exit_codes
+             if accepted(argv) and "-1" not in argv]
+    assert len(plain) == 33
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_mod, "_read_argv", lambda argv: None)
+        through_argparse = [run(argv) for argv, _ in plain]
+
+    def boom(names):
+        raise AssertionError("a plain argv built an argparse parser")
+
+    monkeypatch.setattr(cli_mod, "build_parser", boom)
+    for (argv, want), before in zip(plain, through_argparse):
+        after = run(argv)
+        assert after == before, argv
+        assert {code for code, _, _ in after} == {want}, argv
+
+
+# the words of the subcommand table, and the argv shapes that argparse
+# reads apart from a plain argv: help, abbreviations, `--flag=value`, `--`
+_FLAGS = sorted({flag for command in cli_mod._SUBCOMMANDS.values()
+                 for flag, _ in (cli_mod._JSON_FLAG, *command.arguments)})
+_ODD_TOKENS = sorted({*_FLAGS, *(f[:3] for f in _FLAGS),
+                     *(f[:-1] for f in _FLAGS), *(f + "=3" for f in _FLAGS),
+                     "-h", "--help", "--", "-"})
+_VALUES = sorted({
+    "3", "0", "-1", "-2", "-1,2", "2,3", "x", "1.5", "", "-", "doc.json",
+    *(v for command in cli_mod._SUBCOMMANDS.values()
+      for _, options in command.arguments
+      for v in options.get("choices", ()))})
+
+
+@st.composite
+def _argvs(draw):
+    # a plain argv with each flag given zero to two times, in any order,
+    # plus up to two stray words
+    name = draw(st.sampled_from([*cli_mod._SUBCOMMANDS, "bogus"]))
+    command = cli_mod._SUBCOMMANDS.get(name, cli_mod._Subcommand(None, ""))
+    value = st.sampled_from(_VALUES) | st.integers(-3, 20).map(str)
+    chunks = [("doc.json",)] if command.reads_instance else []
+    for flag, options in (cli_mod._JSON_FLAG, *command.arguments):
+        if options.get("action") == "store_true":
+            chunks += [(flag,)] * draw(st.integers(0, 2))
+            continue
+        own = value | st.sampled_from(options.get("choices", ["3"]))
+        chunks += [(flag, draw(own)) for _ in range(draw(st.integers(0, 2)))]
+    chunks += draw(st.lists(st.tuples(st.sampled_from(_ODD_TOKENS) | value),
+                            max_size=2))
+    return [name, *(t for c in draw(st.permutations(chunks)) for t in c)]
+
+
+@settings(max_examples=400)
+@example(["cteg", "--n", "7"])
+@given(_argvs())
+def test_read_argv_matches_argparse(argv):
+    read = cli_mod._read_argv(argv)
+    parser = cli_mod.build_parser(list(cli_mod._SUBCOMMANDS))
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit:
+            parsed = None
+    assert read is None or vars(read) == parsed
+
+
+def test_read_argv_reads_a_plain_argv():
+    # a store_true flag left out is False, as argparse has it, not None
+    assert vars(cli_mod._read_argv(["cteg", "--n", "7"])) == {
+        "subcommand": "cteg", "json": False, "n": 7, "verify": False}
+    assert vars(cli_mod._read_argv(
+        ["solve", "--target", "1,2", "doc.json", "--target", "-", "--json"])
+    ) == {"subcommand": "solve", "instance": "doc.json", "json": True,
+          "target": ["1,2", "-"]}
 
 
 def test_count_tables_past_the_cap_exit_2(two_color_path, tmp_path, capsys):
