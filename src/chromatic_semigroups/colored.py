@@ -5,18 +5,18 @@ A coloring partitions the column indices (the same vector may appear under
 several colors as distinct columns).  Solutions of A x = b are classified
 as monochromatic / k-chromatic / chromatic / colorful from the color
 classes touched by their support.  The k-chromatic, colorful and counting
-questions run one search that carries the classes used (`_search`).
+questions run one search that carries the classes used (`_search`), in
+every dimension.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from ._linalg import is_zero, vec_add
 from .cones import cone, is_pointed
 from .diophantine import (
     DiophantineInstance, _search, enumerate_solutions, is_member)
 from .errors import NotPointedError, TheoremContractError
-from .numerical import _MODULUS_CAP, _residue_minima
 from .semigroups import AffineSemigroup, intersect_semigroup_family
 
 
@@ -106,61 +106,17 @@ def find_k_chromatic(s, b, k):
     """Some solution of A x = b using at least k colors, or None.
 
     One search over all columns carries the classes used and cuts a branch
-    whose used and later classes number fewer than k.  Positive 1-D
-    columns use the translate decomposition instead: b minus one column
-    from each of k distinct classes, tested against the residue minima.
+    whose used and later classes number fewer than k.  The solution is the
+    search's first: the lexicographically first one using at least k
+    colors, over the columns in the search's plan order (in 1-D, largest
+    absolute value first, ties by index).
     """
     if not 1 <= k <= s.n_colors:
         raise ValueError(f"k must be between 1 and {s.n_colors}")
     b = tuple(b)
     if len(b) != s.dimension:
         raise ValueError(f"target {b} does not have dimension {s.dimension}")
-    values = tuple(col[0] for col in s.columns)
-    if s.dimension != 1 or not 0 < min(values) <= _MODULUS_CAP:
-        return next(_search(DiophantineInstance(s.columns, b), s.classes, k),
-                    None)
-    walk = _minima_walk(values)
-    for chosen in combinations(range(s.n_colors), k):
-        for pick in product(*[s.classes[i] for i in chosen]):
-            x = walk(b[0] - sum(values[i] for i in pick))
-            if x is not None:
-                for i in pick:
-                    x[i] += 1
-                return tuple(x)
-    return None
-
-
-def _minima_walk(values):
-    """r -> a solution over the positive 1-D columns `values`, or None.
-
-    Membership is read off the residue minima, r >= m[r mod a] (m is inf
-    on the classes no sum reaches, as when the columns share a gcd).  The
-    witness takes the first column that leaves a member as often as it
-    still does, then the next: a column skipped once stays skipped
-    (r - v' - v a member makes r - v one), and r - t v is a member for a
-    prefix of t, so a binary search finds each multiplicity.
-    """
-    minima = _residue_minima(values, (0,))
-
-    def member(r):
-        return r >= minima[r % len(minima)]
-
-    def walk(r):
-        if not member(r):
-            return None
-        x = []
-        for v in values:
-            lo, hi = 0, r // v  # member(r - lo * v) holds
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if member(r - mid * v):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            x.append(lo)
-            r -= lo * v
-        return x
-    return walk
+    return next(_search(DiophantineInstance(s.columns, b), s.classes, k), None)
 
 
 def _solve_within(s, idx, b):
@@ -188,6 +144,8 @@ def find_colorful(s, b):
 
 def count_chromatic_solutions(s, b, k):
     """Number of solutions of A x = b using at least k colors."""
+    if not 1 <= k <= s.n_colors:
+        raise ValueError(f"k must be between 1 and {s.n_colors}")
     inst = DiophantineInstance(s.columns, b)
     return sum(1 for _ in _search(inst, s.classes, k))
 

@@ -8,16 +8,20 @@ depth-first search serves enumeration, membership (its first solution)
 and the colored questions, carrying the classes used.  At each column
 the budget <w, residual> and the rows of the later columns' cone bound
 the column's multiplicity to one interval, and dead states are skipped.
+In dimension 1 the residue minima of every suffix's semigroup (Boecker &
+Liptak, Algorithmica 2007) cut each residual that no completion reaches.
 Homogeneous systems get their Hilbert basis geometrically (see `_hilbert`).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf, prod
 
 from ._linalg import dot, is_zero
 from .cones import checked_inequalities, cone, is_pointed, suffix_descriptions
 from .errors import NotPointedError
-from .numerical import _denumerants, _start_table
+from .numerical import (
+    _COUNT_CAP, _MODULUS_CAP, _denumerants, _residue_minima, _start_table)
 
 
 @dataclass(frozen=True)
@@ -111,13 +115,30 @@ def _plan_cached(cols, d):
     # where the residual already lies, so only the rows it moves are kept.
     steps = [(col, dot(w, col), _moved(lin, col), _moved(rays, col))
              for col, (lin, rays) in zip(ocols, descs[1:])]
-    return order, w, rows[0], steps
+    # the residue minima of every suffix, filled in by the first 1-D
+    # target that needs them
+    return order, w, rows[0], steps, []
 
 
 def _moved(rows, col):
     """(m, m . col) for each row m that `col` moves."""
     pairs = ((m, dot(m, col)) for m in rows)
     return tuple((m, s) for m, s in pairs if s)
+
+
+def _suffix_minima(wcs):
+    """Residue minima mod the last weight a of each suffix of `wcs`.
+
+    The semigroup of wcs[k:] is the multiples of wcs[k] plus that of
+    wcs[k + 1:], whose elements are its finite minima plus multiples of a:
+    one round-robin pass seeded with those minima gives the next.
+    """
+    a = wcs[-1]
+    chain = [_residue_minima((a,), (0,))]
+    for c in reversed(wcs[:-1]):
+        seeds = [m for m in chain[-1] if m != inf]
+        chain.append(_residue_minima((a, c), seeds))
+    return chain[::-1]
 
 
 def _plan(inst):
@@ -154,6 +175,12 @@ def _search(inst, classes=(), need=0, colorful=False):
     it: <w, residual> fixes the remaining budget and `used` which
     completions qualify.  Once `need` classes are used all completions
     qualify, so `used` becomes the mask of all classes: one key for them.
+
+    In dimension 1 a weighted residual at column k outside the semigroup
+    of the weights from k on is dead.  Their residue minima mod the last
+    weight a decide that; they cost O(n a) and are built once per plan,
+    by the first target whose multiplicity box (the intervals [0, budget
+    // weight] of the first n - 1 columns) holds more than n a points.
     """
     rhs = inst.rhs
     plan = _plan(inst)
@@ -161,10 +188,16 @@ def _search(inst, classes=(), need=0, colorful=False):
         if is_zero(rhs):
             yield ()
         return
-    order, w, rows, steps = plan
+    order, w, rows, steps, minima = plan
     if any(dot(m, rhs) < 0 for m in rows):
         return
     n = len(order)
+    a = steps[-1][1]
+    if (len(rhs) == 1 and not minima and a <= _MODULUS_CAP
+            and n * a <= _COUNT_CAP):
+        wcs = [wc for _, wc, _, _ in steps]
+        if prod(dot(w, rhs) // wc + 1 for wc in wcs[:-1]) > n * a:
+            minima.extend(_suffix_minima(wcs))
     bits = later = [0] * (n + 1)
     if classes:
         bit = {i: 1 << c for c, cls in enumerate(classes) for i in cls}
@@ -189,6 +222,8 @@ def _search(inst, classes=(), need=0, colorful=False):
                 for pos, i in enumerate(order):
                     sol[i] = acc[pos]
                 yield tuple(sol)
+            return
+        if minima and wres < minima[k][wres % a]:
             return
         key = (k, residual, used)
         if key in dead:

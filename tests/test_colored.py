@@ -207,6 +207,14 @@ def test_find_k_chromatic_rejects_a_target_of_the_wrong_length():
         find_colorful(plane, (1,))
 
 
+def test_chromatic_counts_reject_k_outside_the_colors():
+    s = ColoredSemigroup(1, ((1,), (2,), (3,)), ((0,), (1,), (2,)))
+    assert count_chromatic_solutions(s, (3,), 1) == 3
+    for k in (0, -1, 4):
+        with pytest.raises(ValueError):
+            count_chromatic_solutions(s, (3,), k)
+
+
 # ---------------------------------------------------------------------------
 # oracles: one membership query per choice
 
@@ -308,6 +316,22 @@ def test_chromatic_search_on_ten_classes_is_fast():
             assert _solves(s, x, (t, t)) and classify(s, x).is_chromatic
 
 
+def test_chromatic_search_on_twelve_1d_classes_is_fast():
+    # a translate per pick of one value from each of 6 of the 12 classes
+    # took 0.44-0.84 s on a 2-core Xeon VM; residue minima of the search's
+    # suffixes take about 1 ms
+    rng = random.Random(5)
+    values = rng.sample(range(50, 400), 36)
+    s = ColoredSemigroup(1, tuple((v,) for v in values), tuple(
+        tuple(range(3 * c, 3 * c + 3)) for c in range(12)))
+    start = time.perf_counter()
+    assert find_k_chromatic(s, (40,), 6) is None
+    found = {b: find_k_chromatic(s, (b,), 6) for b in (1000, 5000, 10 ** 6)}
+    assert time.perf_counter() - start < 1
+    for b, x in found.items():
+        assert _solves(s, x, (b,)) and classify(s, x).chromatic_level >= 6
+
+
 def test_colorful_search_on_six_classes_is_fast():
     # one restricted solve per selection took 13.4-13.6 s on a 2-core Xeon
     # VM; the colored search takes under a second
@@ -369,7 +393,7 @@ def test_find_k_chromatic_matches_enumeration_oracle():
             if got is not None:
                 assert sum(got[i] * s.columns[i][0] for i in range(len(got))) == b[0]
                 assert classify(s, got).chromatic_level >= k
-            assert got == _dense_walk(s, b[0], k)
+            assert got == _lex_first(s, sols, k)
     # gcd > 1 and one value under two colors
     for _ in range(30):
         g = rng.choice((2, 3))
@@ -387,32 +411,15 @@ def test_find_k_chromatic_matches_enumeration_oracle():
             got = find_k_chromatic(s, (b,), k)
             oracle = any(classify(s, x).chromatic_level >= k for x in sols)
             assert (got is not None) == oracle
-            assert got == _dense_walk(s, b, k)
+            assert got == _lex_first(s, sols, k)
 
 
-def _dense_walk(s, b, k):
-    """The witness of a dense reach table over 0..b of positive 1-D
-    columns: the first offset pick whose residual is reachable, then at each
-    step the first column whose removal leaves a reachable residual."""
-    values = [col[0] for col in s.columns]
-    reach = [True] + [False] * b
-    for v in range(1, b + 1):
-        reach[v] = any(a <= v and reach[v - a] for a in values)
-    for chosen in combinations(range(s.n_colors), k):
-        for pick in product(*[s.classes[i] for i in chosen]):
-            r = b - sum(values[i] for i in pick)
-            if r < 0 or not reach[r]:
-                continue
-            x = [0] * len(values)
-            for i in pick:
-                x[i] += 1
-            while r:
-                i = next(i for i, a in enumerate(values)
-                         if a <= r and reach[r - a])
-                x[i] += 1
-                r -= values[i]
-            return tuple(x)
-    return None
+def _lex_first(s, sols, k):
+    """The least solution using at least k colors, compared over the
+    columns ordered by value, largest first, ties by index."""
+    order = sorted(range(len(s.columns)), key=lambda i: (-s.columns[i][0], i))
+    chosen = [x for x in sols if classify(s, x).chromatic_level >= k]
+    return min(chosen, key=lambda x: [x[i] for i in order], default=None)
 
 
 def test_find_k_chromatic_columns_past_the_modulus_cap():
@@ -421,6 +428,9 @@ def test_find_k_chromatic_columns_past_the_modulus_cap():
     assert find_k_chromatic(s, (3 * 1000003 + 2 * 1000033,), 2) == (3, 2)
     assert find_k_chromatic(s, (3 * 1000003,), 2) is None
     assert find_k_chromatic(s, (1000033 - 1,), 1) is None
+    # a multiplicity box past 2 * 1000003 cells builds no minima either
+    b = 1000003 * 10 ** 7 + 1000033
+    assert find_k_chromatic(s, (b,), 2) == (10 ** 7, 1)
 
 
 def test_find_k_chromatic_large_target_is_fast():

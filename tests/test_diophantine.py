@@ -1,7 +1,8 @@
 import random
 import sys
+import time
 from itertools import product
-from math import prod
+from math import gcd, inf, prod
 
 import pytest
 
@@ -346,6 +347,68 @@ def _search_calls(fn, inst):
     finally:
         sys.setprofile(None)
     return out, calls[0]
+
+
+def _dense_minima(values, a):
+    """Least element of <values> in each residue class mod a, from a reach
+    table up to a * max(values) (a least element uses under a columns)."""
+    top = a * max(values)
+    reach = [True] + [False] * top
+    for v in range(1, top + 1):
+        reach[v] = any(c <= v and reach[v - c] for c in values)
+    least = [inf] * a
+    for v in range(top, -1, -1):
+        if reach[v]:
+            least[v % a] = v
+    return least
+
+
+def test_suffix_minima_match_dense_reach_tables():
+    # 1-D plans order the columns by weight, heaviest first; the weights
+    # are the absolute values, so negative columns share the rule
+    rng = random.Random(71)
+    for _ in range(60):
+        scale = rng.choice((1, 1, 2, 3))  # gcd > 1 leaves minima at inf
+        values = [scale * rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+        values.append(rng.choice(values))  # a repeated column
+        sign = rng.choice((1, -1))
+        cols = tuple((sign * v,) for v in values)
+        # a target whose multiplicity box is large enough to build them
+        found, x = is_member(DiophantineInstance(cols, (sign * 10 ** 9,)))
+        assert found == (10 ** 9 % gcd(*values) == 0)
+        order, w, rows, steps, minima = dio._plan_cached(cols, 1)
+        wcs = [wc for _, wc, _, _ in steps]
+        assert w == (sign,) and wcs == sorted(values, reverse=True)
+        assert minima == dio._suffix_minima(wcs)
+        a = wcs[-1]
+        for k in range(len(wcs)):
+            assert minima[k] == _dense_minima(wcs[k:], a), (values, k)
+
+
+def test_member_on_a_huge_1d_target_is_fast():
+    # the search walked one multiplicity of 15 per step: 0.39 s at
+    # 10**6 + 1, 4.3-5.1 s at 10**7 + 1 and no answer in 300 s at
+    # 10**12 + 1 on a 2-core Xeon VM; residue minima answer in under 1 ms
+    start = time.perf_counter()
+    for cols in (((6,), (10,), (15,)), ((-6,), (-10,), (-15,))):
+        b = cols[2][0] // 15 * (10 ** 12 + 1)
+        found, x = is_member(DiophantineInstance(cols, (b,)))
+        assert found and sum(v * c[0] for v, c in zip(x, cols)) == b
+    assert is_member(DiophantineInstance(((6,), (10,)), (10 ** 12 + 1,))) == (
+        False, None)
+    assert time.perf_counter() - start < 1
+
+
+def test_member_with_large_columns_and_a_small_target_is_fast():
+    # residue minima mod 999983 cost about 2 s and 190 MB; a target whose
+    # multiplicity box holds 9 points does not build them
+    cols = ((999983,), (1000003,), (1000033,))
+    start = time.perf_counter()
+    assert is_member(DiophantineInstance(cols, (2999949,))) == (
+        True, (3, 0, 0))
+    assert is_member(DiophantineInstance(cols, (2999950,))) == (False, None)
+    assert time.perf_counter() - start < 0.1
+    assert dio._plan_cached(cols, 1)[4] == []
 
 
 def test_search_pruning_does_not_widen():
