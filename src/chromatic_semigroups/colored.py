@@ -113,9 +113,6 @@ def find_k_chromatic(s, b, k):
     """
     if not 1 <= k <= s.n_colors:
         raise ValueError(f"k must be between 1 and {s.n_colors}")
-    b = tuple(b)
-    if len(b) != s.dimension:
-        raise ValueError(f"target {b} does not have dimension {s.dimension}")
     return next(_search(DiophantineInstance(s.columns, b), s.classes, k), None)
 
 

@@ -15,13 +15,19 @@ Homogeneous systems get their Hilbert basis geometrically (see `_hilbert`).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, prod
+from math import inf
 
 from ._linalg import dot, is_zero
 from .cones import checked_inequalities, cone, is_pointed, suffix_descriptions
 from .errors import NotPointedError
 from .numerical import (
     _COUNT_CAP, _MODULUS_CAP, _denumerants, _residue_minima, _start_table)
+
+
+# a dead state of the 1-D search costs about as much as this many cells of
+# residue minima (3 * 10**6 of each over <999983, 1000003, 1000033>: 29.7 s
+# against 2.0 s on a 2-core Xeon VM), or as one column's round-robin set-up
+_CELLS_PER_DEAD_STATE = 16
 
 
 @dataclass(frozen=True)
@@ -115,9 +121,7 @@ def _plan_cached(cols, d):
     # where the residual already lies, so only the rows it moves are kept.
     steps = [(col, dot(w, col), _moved(lin, col), _moved(rays, col))
              for col, (lin, rays) in zip(ocols, descs[1:])]
-    # the residue minima of every suffix, filled in by the first 1-D
-    # target that needs them
-    return order, w, rows[0], steps, []
+    return order, w, rows[0], steps
 
 
 def _moved(rows, col):
@@ -127,12 +131,10 @@ def _moved(rows, col):
 
 
 def _suffix_minima(wcs):
-    """Residue minima mod the last weight a of each suffix of `wcs`.
-
-    The semigroup of wcs[k:] is the multiples of wcs[k] plus that of
-    wcs[k + 1:], whose elements are its finite minima plus multiples of a:
-    one round-robin pass seeded with those minima gives the next.
-    """
+    """Residue minima mod the last weight a of each suffix of `wcs`: the
+    semigroup of wcs[k:] is the multiples of wcs[k] plus that of wcs[k + 1:],
+    its finite minima plus multiples of a, so one round-robin pass seeded
+    with those minima gives the next."""
     a = wcs[-1]
     chain = [_residue_minima((a,), (0,))]
     for c in reversed(wcs[:-1]):
@@ -176,11 +178,10 @@ def _search(inst, classes=(), need=0, colorful=False):
     completions qualify.  Once `need` classes are used all completions
     qualify, so `used` becomes the mask of all classes: one key for them.
 
-    In dimension 1 a weighted residual at column k outside the semigroup
-    of the weights from k on is dead.  Their residue minima mod the last
-    weight a decide that; they cost O(n a) and are built once per plan,
-    by the first target whose multiplicity box (the intervals [0, budget
-    // weight] of the first n - 1 columns) holds more than n a points.
+    In dimension 1 a weighted residual at column k below the residue
+    minima mod a of the weights from k on is dead.  The minima cost about
+    n (a / _CELLS_PER_DEAD_STATE + 1) dead states; a call builds them once
+    it has recorded that many, and drops them when it ends.
     """
     rhs = inst.rhs
     plan = _plan(inst)
@@ -188,16 +189,15 @@ def _search(inst, classes=(), need=0, colorful=False):
         if is_zero(rhs):
             yield ()
         return
-    order, w, rows, steps, minima = plan
+    order, w, rows, steps = plan
     if any(dot(m, rhs) < 0 for m in rows):
         return
     n = len(order)
     a = steps[-1][1]
-    if (len(rhs) == 1 and not minima and a <= _MODULUS_CAP
-            and n * a <= _COUNT_CAP):
-        wcs = [wc for _, wc, _, _ in steps]
-        if prod(dot(w, rhs) // wc + 1 for wc in wcs[:-1]) > n * a:
-            minima.extend(_suffix_minima(wcs))
+    fits = len(rhs) == 1 and a <= _MODULUS_CAP and n * a <= _COUNT_CAP
+    # the count of dead states that builds the minima; 0 never does
+    build = n * (a // _CELLS_PER_DEAD_STATE + 1) if fits else 0
+    minima = []
     bits = later = [0] * (n + 1)
     if classes:
         bit = {i: 1 << c for c, cls in enumerate(classes) for i in cls}
@@ -246,17 +246,25 @@ def _search(inst, classes=(), need=0, colorful=False):
         if grown != used and not colorful and grown.bit_count() >= need:
             grown = full
         if lo <= hi:
-            res = tuple(a - lo * c for a, c in zip(residual, col))
-            wres -= lo * wc
+            res = tuple(v - lo * c for v, c in zip(residual, col))
+            rest = wres - lo * wc
             for x in range(lo, hi + 1):
                 acc[k] = x
-                yield from descend(k + 1, res, wres, grown if x else used)
-                res = tuple(a - c for a, c in zip(res, col))
-                wres -= wc
+                yield from descend(k + 1, res, rest, grown if x else used)
+                # minima built below this state may show it dead as well
+                if minima and wres < minima[k][wres % a]:
+                    break
+                res = tuple(v - c for v, c in zip(res, col))
+                rest -= wc
         if hits[0] == before:
             dead.add(key)
+            if len(dead) == build:
+                minima.extend(_suffix_minima([wc for _, wc, _, _ in steps]))
 
-    yield from descend(0, rhs, dot(w, rhs), 0)
+    try:
+        yield from descend(0, rhs, dot(w, rhs), 0)
+    finally:
+        del descend  # it refers to itself: free its states now, not at a gc
 
 
 def hilbert_basis_homogeneous(rows):

@@ -428,7 +428,7 @@ def test_find_k_chromatic_columns_past_the_modulus_cap():
     assert find_k_chromatic(s, (3 * 1000003 + 2 * 1000033,), 2) == (3, 2)
     assert find_k_chromatic(s, (3 * 1000003,), 2) is None
     assert find_k_chromatic(s, (1000033 - 1,), 1) is None
-    # a multiplicity box past 2 * 1000003 cells builds no minima either
+    # a target 10**7 multiples deep is reached on the search's second path
     b = 1000003 * 10 ** 7 + 1000033
     assert find_k_chromatic(s, (b,), 2) == (10 ** 7, 1)
 

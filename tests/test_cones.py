@@ -427,7 +427,7 @@ def test_dd_and_every_suffix_match_reference(case):
 
 
 def _assert_plan_facets(cols, d):
-    order, w, rows, steps, _ = _plan_cached(cols, d)
+    order, w, rows, steps = _plan_cached(cols, d)
     ocols = [cols[i] for i in order]
     assert rows == dd_convert(cone(ocols, d)).inequalities
     for k, (col, wc, eqs, ineqs) in enumerate(steps):

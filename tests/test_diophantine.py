@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import time
+import weakref
 from itertools import product
 from math import gcd, inf, prod
 
@@ -15,6 +17,7 @@ from chromatic_semigroups import (
     iter_solutions,
 )
 from chromatic_semigroups import diophantine as dio
+from chromatic_semigroups import numerical
 from chromatic_semigroups.errors import NotPointedError
 
 SIX_COIN_COLUMNS = tuple((v,) for v in (9, 16, 11, 14, 12, 13))
@@ -363,6 +366,19 @@ def _dense_minima(values, a):
     return least
 
 
+def _count_builds(monkeypatch):
+    """The weight lists that the search builds residue minima for."""
+    builds = []
+    real = dio._suffix_minima
+
+    def counted(wcs):
+        builds.append(tuple(wcs))
+        return real(wcs)
+
+    monkeypatch.setattr(dio, "_suffix_minima", counted)
+    return builds
+
+
 def test_suffix_minima_match_dense_reach_tables():
     # 1-D plans order the columns by weight, heaviest first; the weights
     # are the absolute values, so negative columns share the rule
@@ -373,22 +389,23 @@ def test_suffix_minima_match_dense_reach_tables():
         values.append(rng.choice(values))  # a repeated column
         sign = rng.choice((1, -1))
         cols = tuple((sign * v,) for v in values)
-        # a target whose multiplicity box is large enough to build them
+        # a non-member this far out is only answered through the minima
         found, x = is_member(DiophantineInstance(cols, (sign * 10 ** 9,)))
         assert found == (10 ** 9 % gcd(*values) == 0)
-        order, w, rows, steps, minima = dio._plan_cached(cols, 1)
+        order, w, rows, steps = dio._plan_cached(cols, 1)
         wcs = [wc for _, wc, _, _ in steps]
         assert w == (sign,) and wcs == sorted(values, reverse=True)
-        assert minima == dio._suffix_minima(wcs)
+        minima = dio._suffix_minima(wcs)
         a = wcs[-1]
         for k in range(len(wcs)):
             assert minima[k] == _dense_minima(wcs[k:], a), (values, k)
 
 
-def test_member_on_a_huge_1d_target_is_fast():
+def test_member_on_a_huge_1d_target_is_fast(monkeypatch):
     # the search walked one multiplicity of 15 per step: 0.39 s at
     # 10**6 + 1, 4.3-5.1 s at 10**7 + 1 and no answer in 300 s at
     # 10**12 + 1 on a 2-core Xeon VM; residue minima answer in under 1 ms
+    builds = _count_builds(monkeypatch)
     start = time.perf_counter()
     for cols in (((6,), (10,), (15,)), ((-6,), (-10,), (-15,))):
         b = cols[2][0] // 15 * (10 ** 12 + 1)
@@ -397,18 +414,67 @@ def test_member_on_a_huge_1d_target_is_fast():
     assert is_member(DiophantineInstance(((6,), (10,)), (10 ** 12 + 1,))) == (
         False, None)
     assert time.perf_counter() - start < 1
+    assert builds == [(15, 10, 6), (15, 10, 6), (10, 6)]
 
 
-def test_member_with_large_columns_and_a_small_target_is_fast():
-    # residue minima mod 999983 cost about 2 s and 190 MB; a target whose
-    # multiplicity box holds 9 points does not build them
+def test_member_with_large_columns_and_a_small_target_is_fast(monkeypatch):
+    # residue minima mod 999983 cost about 2 s and 190 MB; searches that
+    # answer within a few states do not build them, whatever the target
+    builds = _count_builds(monkeypatch)
     cols = ((999983,), (1000003,), (1000033,))
     start = time.perf_counter()
     assert is_member(DiophantineInstance(cols, (2999949,))) == (
         True, (3, 0, 0))
     assert is_member(DiophantineInstance(cols, (2999950,))) == (False, None)
+    assert is_member(DiophantineInstance(cols, (999983 * 3000,))) == (
+        True, (3000, 0, 0))
     assert time.perf_counter() - start < 0.1
-    assert dio._plan_cached(cols, 1)[4] == []
+    assert builds == []
+
+
+class _Minima(list):
+    """A list that takes weak references."""
+
+
+def test_minima_are_dropped_when_the_search_ends(monkeypatch):
+    # each call builds its own minima and frees them when its search ends
+    # or is dropped, without waiting for a garbage collection: many
+    # distinct column sets leave only their plans behind
+    real = dio._suffix_minima
+    built = []
+
+    def tracked(wcs):
+        chain = [_Minima(m) for m in real(wcs)]
+        built.extend(weakref.ref(m) for m in chain)
+        return chain
+
+    monkeypatch.setattr(dio, "_suffix_minima", tracked)
+    sets = [tuple((2 * v,) for v in (m, m + 1, m + 3))
+            for m in range(100, 120)]
+    gc.disable()
+    try:
+        for cols in sets:
+            assert is_member(DiophantineInstance(cols, (10 ** 9 + 1,))) == (
+                False, None)
+        # a member: the search is dropped at its first solution
+        found, _ = is_member(
+            DiophantineInstance(((6,), (10,), (15,)), (10 ** 12 + 1,)))
+        assert found
+        assert len(built) == 3 * len(sets) + 3
+        assert all(ref() is None for ref in built)
+    finally:
+        gc.enable()
+
+
+def test_minima_need_a_modulus_under_the_cap(monkeypatch):
+    # _residue_minima refuses a modulus past _MODULUS_CAP, so the search
+    # walks on without the minima rather than raise
+    builds = _count_builds(monkeypatch)
+    monkeypatch.setattr(numerical, "_MODULUS_CAP", 5)
+    monkeypatch.setattr(dio, "_MODULUS_CAP", 5)
+    assert is_member(DiophantineInstance(((6,), (10,)), (10 ** 4 + 1,))) == (
+        False, None)
+    assert builds == []
 
 
 def test_search_pruning_does_not_widen():
