@@ -515,10 +515,7 @@ def _render(payload, indent=0):
     pad = "  " * indent
     lines = []
     for key, val in payload.items():
-        if isinstance(val, dict):
-            lines.append(f"{pad}{key}:")
-            lines.extend(_render(val, indent + 1))
-        elif isinstance(val, list) and val and isinstance(val[0], dict):
+        if isinstance(val, list) and val and isinstance(val[0], dict):
             lines.append(f"{pad}{key}:")
             for item in val:
                 lines.append(f"{pad}  -")

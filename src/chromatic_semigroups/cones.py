@@ -132,19 +132,23 @@ def contains_point(c, point):
 def is_pointed(c):
     """Decide pointedness; returns (flag, witness).
 
-    A cone is pointed iff its dual cone is full-dimensional, so the answer
-    is read off the double description of the dual (the same cached call
-    that `dd_convert` makes).  The witness, the primitive sum of the dual
-    extreme rays, is an integer functional with w . g >= 1 for every
-    nonzero generator; it depends only on the cone, not on the generating
-    set.  It is None when the cone contains a line.
+    A cone is pointed iff some functional is positive on every nonzero
+    generator (Schrijver 1986, section 7).  The sum of the extreme rays of
+    the dual cone (read off the same cached double description that
+    `dd_convert` makes) lies in its relative interior, so it is such a
+    functional whenever one exists.  The witness, that sum made primitive,
+    is an integer functional with w . g >= 1 for every nonzero generator;
+    it depends only on the cone, not on the generating set.  It is None
+    when the cone contains a line.
     """
     if all(is_zero(g) for g in c.generators):
         return True, (1,) * c.dimension
-    lin, rays = _generator_description(c.generators, c.dimension)
-    if len(rref(lin + rays)[1]) < c.dimension:
+    rays = _generator_description(c.generators, c.dimension)[1]
+    w = [sum(col) for col in zip(*rays)]
+    if not rays or any(dot(w, g) <= 0 for g in c.generators
+                       if not is_zero(g)):
         return False, None
-    return True, primitive([sum(col) for col in zip(*rays)])
+    return True, primitive(w)
 
 
 def intersect_cones(cones):

@@ -177,11 +177,13 @@ def _search(inst, classes=(), need=0, colorful=False):
     it: <w, residual> fixes the remaining budget and `used` which
     completions qualify.  Once `need` classes are used all completions
     qualify, so `used` becomes the mask of all classes: one key for them.
+    No state of the last column is recorded: one division decides it, and
+    a key per failed division would grow with the target.
 
     In dimension 1 a weighted residual at column k below the residue
     minima mod a of the weights from k on is dead.  The minima cost about
-    n (a / _CELLS_PER_DEAD_STATE + 1) dead states; a call builds them once
-    it has recorded that many, and drops them when it ends.
+    n (a / _CELLS_PER_DEAD_STATE + 1) failed states; a call builds them once
+    that many of its states have failed, and drops them when it ends.
     """
     rhs = inst.rhs
     plan = _plan(inst)
@@ -195,7 +197,7 @@ def _search(inst, classes=(), need=0, colorful=False):
     n = len(order)
     a = steps[-1][1]
     fits = len(rhs) == 1 and a <= _MODULUS_CAP and n * a <= _COUNT_CAP
-    # the count of dead states that builds the minima; 0 never does
+    # the count of failed states that builds the minima; 0 never does
     build = n * (a // _CELLS_PER_DEAD_STATE + 1) if fits else 0
     minima = []
     bits = later = [0] * (n + 1)
@@ -211,6 +213,7 @@ def _search(inst, classes=(), need=0, colorful=False):
     acc = [0] * n
     dead = set()
     hits = [0]
+    failed = [0]
 
     def descend(k, residual, wres, used):
         if used != full and (used | later[k]).bit_count() < need:
@@ -225,7 +228,7 @@ def _search(inst, classes=(), need=0, colorful=False):
             return
         if minima and wres < minima[k][wres % a]:
             return
-        key = (k, residual, used)
+        key = (k, residual, used) if k < n - 1 else None
         if key in dead:
             return
         before = hits[0]
@@ -257,8 +260,10 @@ def _search(inst, classes=(), need=0, colorful=False):
                 res = tuple(v - c for v, c in zip(res, col))
                 rest -= wc
         if hits[0] == before:
-            dead.add(key)
-            if len(dead) == build:
+            if key is not None:
+                dead.add(key)
+            failed[0] += 1
+            if failed[0] == build:
                 minima.extend(_suffix_minima([wc for _, wc, _, _ in steps]))
 
     try:

@@ -74,12 +74,16 @@ def colored_numerical(*classes):
 
 @lru_cache(maxsize=None)
 def _member_table(gens, bound):
+    """Whether each v <= bound lies in the semigroup of the positive `gens`,
+    one byte per v.  With g their gcd and m the residue minima of gens / g
+    mod a = min(gens) / g, the members are g m[r] + j g a: one slice per r.
+    """
+    g = gcd(*gens)
+    minima = _residue_minima(tuple(v // g for v in gens), (0,))
+    step = g * len(minima)
     table = bytearray(bound + 1)
-    table[0] = 1
-    for a in gens:
-        for v in range(a, bound + 1):
-            if table[v - a]:
-                table[v] = 1
+    for m in minima:
+        table[g * m::step] = b"\1" * ((bound - g * m) // step + 1)
     return bytes(table)
 
 
@@ -355,8 +359,6 @@ def build_reduction_instance(s, k, mode):
         cf_k = _chromatic_value(s, k)
         cf_k1 = _chromatic_value(s, k + 1)
         b = max(2 * (cf_k1 - cf_k), 2 * cf_k) + 1
-        if b % 2 == 0:
-            b += 1
         doubled = tuple((2 * cls[0],) for cls in s.classes)
         values = {cls[0] for cls in doubled}
         while b in values:

@@ -151,8 +151,6 @@ def _intersect_cached(dim, gens_blocks):
         if not is_zero(img):
             images.add(img)
     images = sorted(images)
-    if not images:
-        return AffineSemigroup(dim, ())
     if is_pointed(cone(images, dim))[0]:
         images = _drop_generated(dim, images)
     return AffineSemigroup(dim, tuple(images))
@@ -174,30 +172,25 @@ def _numerical_intersection(value_blocks):
     Each monoid holds every multiple of its gcd g above g * F(generators /
     g), so the intersection holds every multiple of L = lcm(gcds) above the
     largest such product C.  Its least element m <= C + L plus its last gap
-    bounds the minimal generators by 2C + L, where the tables stop.
+    bounds the minimal generators by 2C + L, where the tables stop: the
+    members are the multiples of L in every block's table, and the
+    generators those up to m plus the last gap that are no sum of two
+    smaller members.
     """
     gcds = [gcd(*block) for block in value_blocks]
     period = lcm(*gcds)
     gap_bound = max(g * frobenius([v // g for v in block])
                     for g, block in zip(gcds, value_blocks))
     bound = 2 * max(gap_bound, 0) + period
-    common = bytearray(bound + 1)
-    common[0] = 1
-    for v in range(period, bound + 1, period):
-        common[v] = 1
-    for block in value_blocks:
-        table = _member_table(tuple(block), bound)
-        for v in range(bound + 1):
-            if common[v] and not table[v]:
-                common[v] = 0
-    smallest = next(v for v in range(period, bound + 1, period) if common[v])
-    largest_gap = next((v for v in range(gap_bound - gap_bound % period, 0,
-                                         -period) if not common[v]), 0)
-    top = largest_gap + smallest
-    members = [v for v in range(period, top + 1, period) if common[v]]
+    tables = [_member_table(tuple(block), bound) for block in value_blocks]
+    members = [v for v in range(period, bound + 1, period)
+               if all(table[v] for table in tables)]
     member_set = set(members)
-    return tuple(v for v in members
-                 if not any(u < v and v - u in member_set for u in members))
+    largest_gap = next((v for v in range(gap_bound - gap_bound % period, 0,
+                                         -period) if v not in member_set), 0)
+    low = [v for v in members if v <= largest_gap + members[0]]
+    return tuple(v for v in low
+                 if not any(u < v and v - u in member_set for u in low))
 
 
 def family_intersection_nontrivial(family):
@@ -223,11 +216,7 @@ def family_intersection_nontrivial(family):
         return False, None
     if not all(is_pointed_semigroup(s) for s in family):
         return True, None
-    scale = 1
-    for s in family:
-        k = scale_into(s, ray)
-        scale = scale * k // gcd(scale, k)
-    return True, vec_scale(scale, ray)
+    return True, vec_scale(lcm(*(scale_into(s, ray) for s in family)), ray)
 
 
 def scale_into(s, p):

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import time
+import tracemalloc
 import weakref
 from itertools import product
 from math import gcd, inf, prod
@@ -430,6 +431,21 @@ def test_member_with_large_columns_and_a_small_target_is_fast(monkeypatch):
         True, (3000, 0, 0))
     assert time.perf_counter() - start < 0.1
     assert builds == []
+
+
+def test_member_memory_does_not_grow_with_the_last_columns_divisions():
+    # the search fails 2 * 10**4 divisions of the last column before the
+    # member: a dead key for each of them peaked at 5.2 MB traced
+    cols = ((1000003,), (1000033,))
+    b = 1000003 + 1000033 * 2 * 10 ** 4
+    tracemalloc.start()
+    try:
+        assert is_member(DiophantineInstance(cols, (b,))) == (
+            True, (1, 2 * 10 ** 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 class _Minima(list):

@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd, lcm
 
 import pytest
@@ -17,6 +18,7 @@ from chromatic_semigroups import (
 )
 from chromatic_semigroups.colored import build_unique_expression_family
 from chromatic_semigroups import semigroups as semigroups_mod
+from chromatic_semigroups.numerical import _member_table, frobenius
 from chromatic_semigroups.errors import (
     DimensionMismatchError,
     PointNotInConeError,
@@ -181,6 +183,30 @@ def test_numerical_intersection_matches_reach_tables(blocks):
         *(reach(block, top) for block in blocks))
     for g in gens:
         assert g not in reach([h for h in gens if h != g], g)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 6]),
+       st.lists(st.integers(1, 20), min_size=1, max_size=3),
+       st.integers(0, 500))
+def test_member_table_matches_reach(g, values, bound):
+    gens = tuple(g * v for v in values)
+    step = gcd(*gens)
+    # below the first generator, anywhere, and past the last gap
+    last_gap = step * frobenius([v // step for v in gens])
+    for top in (min(gens) - 1, bound, last_gap + 2 * max(gens)):
+        table = _member_table(gens, top)
+        assert len(table) == top + 1
+        assert {v for v in range(top + 1) if table[v]} == reach(gens, top)
+
+
+def test_numerical_intersection_of_large_singletons_is_fast():
+    # a reach-table DP over the 6 * 10**6 cells of each block took 0.89 s
+    # on a 2-core Xeon VM; the minima fill each table in one slice
+    start = time.perf_counter()
+    got = intersect_semigroups(semigroup([(2 * 10 ** 6,)]),
+                               semigroup([(3 * 10 ** 6,)]))
+    assert got.generators == ((6 * 10 ** 6,),)
+    assert time.perf_counter() - start < 0.2
 
 
 def test_cone_commutes_with_intersection():
