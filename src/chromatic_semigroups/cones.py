@@ -10,7 +10,6 @@ systems (`rational_feasible`, public API that no other function here
 calls) is read off the same double description; the package holds no LP.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,10 +24,15 @@ from ._linalg import (
     vec_scale,
     vec_sub,
 )
+from ._record import record
 from .errors import DimensionMismatchError, TheoremContractError
 
+# entries in the double description cache: a long-running caller's memory
+# stays bounded, and one chromsg job meets far fewer distinct cones
+_DD_CACHE_SIZE = 1024
 
-@dataclass(frozen=True)
+
+@record
 class RationalCone:
     """Finitely generated rational cone with an optional cached H-description.
 
@@ -95,7 +99,8 @@ def dd_convert(c):
         return c
     ineqs = checked_inequalities(
         _generator_description(c.generators, c.dimension), c.generators)
-    return replace(c, inequalities=ineqs)
+    return RationalCone(c.dimension, c.generators, ineqs,
+                        c.zero_generators_dropped)
 
 
 def checked_inequalities(description, generators):
@@ -223,7 +228,7 @@ def rational_feasible(rows, strict=()):
 # double description core
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_DD_CACHE_SIZE)
 def _generator_description(rows, dim):
     """Generators of {x in R^dim : row . x >= 0 for all rows}.
 

@@ -8,11 +8,11 @@ assertion is trusted, pointedness is checked.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
 from ._linalg import vec_neg
+from ._record import record
 from .errors import (
     CaseAssertionError,
     DimensionMismatchError,
@@ -31,7 +31,7 @@ FULL_AUDIT_LIMIT = 12
 DEFAULT_SAMPLED_SUBSETS = 2000
 
 
-@dataclass(frozen=True)
+@record
 class SemigroupFamily:
     members: tuple
     case_assertion: str
@@ -69,7 +69,7 @@ class SemigroupFamily:
         return 2 * m
 
 
-@dataclass(frozen=True)
+@record
 class HellyAuditReport:
     case_assertion: str
     case_size: int
@@ -187,7 +187,7 @@ def build_sharpness_family(case, d):
     raise ValueError(f"unknown case {case!r}; expected 'a', 'b' or 'c'")
 
 
-@dataclass(frozen=True)
+@record
 class ColorfulHellyReport:
     premise_holds: bool
     failing_transversal: tuple
@@ -232,7 +232,7 @@ def colorful_helly_audit(families):
         "every transversal intersects nontrivially but no single family does")
 
 
-@dataclass(frozen=True)
+@record
 class TverbergReport:
     partition: tuple
     common_element: tuple

@@ -15,8 +15,8 @@ Dimension-1 documents double as colored numerical semigroup instances.
 """
 
 import json
-from dataclasses import dataclass
 
+from ._record import record
 from .colored import ColoredSemigroup
 from .errors import InstanceParseError, InstanceValidationError
 from .numerical import ColoredNumericalSemigroup
@@ -24,7 +24,7 @@ from .numerical import ColoredNumericalSemigroup
 _TOP_KEYS = {"dimension", "colors", "targets"}
 
 
-@dataclass(frozen=True)
+@record
 class InstanceDocument:
     dimension: int
     colors: tuple           # (name, generator tuple) pairs, ordered

@@ -14,12 +14,12 @@ form, its power basis scaled by (n - 1)! L^(n - 1) is integer, and each
 coefficient becomes one Fraction at the end.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import factorial, gcd, inf, lcm
 
+from ._record import record
 from .errors import NotPrimitiveError, SemigroupError, TheoremContractError
 
 _ZERO_NOTE = ("0 is counted as a chromatic gap: the empty solution uses no "
@@ -33,7 +33,7 @@ _GAP_CAP = 10 ** 7
 _COUNT_CAP = 10 ** 7
 
 
-@dataclass(frozen=True)
+@record
 class ColoredNumericalSemigroup:
     """Disjoint classes of positive integers whose union has gcd 1."""
 
@@ -180,7 +180,7 @@ def k_chromatic_member(s, b, k):
     return b >= minima[b % len(minima)]
 
 
-@dataclass(frozen=True)
+@record
 class ChromaticFrobeniusReport:
     k: int
     value: int
@@ -232,7 +232,7 @@ def _chromatic_value(s, k):
     return value
 
 
-@dataclass(frozen=True)
+@record
 class SingletonFormulaReport:
     values: tuple
     formula_value: int
@@ -252,7 +252,7 @@ def singleton_formula_check(values):
     return SingletonFormulaReport(vals, formula, computed, formula == computed)
 
 
-@dataclass(frozen=True)
+@record
 class InequalityReport:
     monotonic_applicable: bool
     monotonic_holds: bool
@@ -322,7 +322,7 @@ def check_frobenius_inequalities(s, k=1, class_index=None):
     )
 
 
-@dataclass(frozen=True)
+@record
 class ReductionReport:
     mode: str
     base: ColoredNumericalSemigroup
@@ -443,7 +443,7 @@ def count_k_chromatic(s, b, k):
 # quasipolynomial counting
 
 
-@dataclass(frozen=True)
+@record
 class QuasiPolynomial:
     """One polynomial constituent per residue class modulo the period."""
 

@@ -7,11 +7,11 @@ matched against generators y of the other via A x - B y = 0), whose image
 is then reduced to the minimal generating set.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
 from ._linalg import is_zero, vec_scale
+from ._record import record
 from .cones import (
     cone,
     contains_nonzero,
@@ -30,9 +30,12 @@ from .errors import (
 from .numerical import _member_table, frobenius
 
 _SCALE_CAP = 10 ** 6
+# entries in the intersection cache: a long-running caller's memory stays
+# bounded, and one chromsg job or audit meets far fewer distinct families
+_INTERSECT_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
+@record
 class AffineSemigroup:
     """Semigroup generated by integer vectors (deduplicated, zeros dropped)."""
 
@@ -115,7 +118,7 @@ def intersect_semigroup_family(members):
     return _intersect_cached(dim, tuple(s.generators for s in members))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_INTERSECT_CACHE_SIZE)
 def _intersect_cached(dim, gens_blocks):
     blocks = [list(g) for g in gens_blocks]
     if len(blocks) == 1:

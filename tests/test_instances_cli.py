@@ -671,3 +671,28 @@ def test_module_entry_point_reads_sys_argv(two_color_path):
     assert done.returncode == 0 and "member: true" in done.stdout
     done = run("--help")
     assert done.returncode == 0 and done.stdout.startswith("usage: chromsg")
+
+
+COLD_START_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from chromatic_semigroups.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["cteg", "--n", "3"])
+print(json.dumps([rc, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_a_plain_job_imports_no_dataclasses_inspect_or_argparse(tmp_path):
+    # each chromsg job is a fresh process, so these imports would be paid
+    # by every job; diffing against the modules loaded before the import
+    # leaves out whatever `site` preloads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    rc, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert rc == 0
+    assert "chromatic_semigroups.cli" in loaded
+    assert not {"dataclasses", "inspect", "argparse"} & set(loaded)

@@ -17,6 +17,8 @@ from chromatic_semigroups import (
     semigroup,
 )
 from chromatic_semigroups.colored import build_unique_expression_family
+from chromatic_semigroups import cones as cones_mod
+from chromatic_semigroups import diophantine as dio_mod
 from chromatic_semigroups import semigroups as semigroups_mod
 from chromatic_semigroups.numerical import _member_table, frobenius
 from chromatic_semigroups.errors import (
@@ -233,3 +235,22 @@ def test_family_nontrivial_agrees_with_chained_intersections():
         if ok:
             for s in members:
                 assert member(s, w)[0]
+
+
+@pytest.mark.parametrize("mod, name, bound_name, args", [
+    (cones_mod, "_generator_description", "_DD_CACHE_SIZE",
+     lambda i: (((i,),), 1)),
+    (dio_mod, "_witness", "_PLAN_CACHE_SIZE", lambda i: (((i,),), 1)),
+    (dio_mod, "_plan_cached", "_PLAN_CACHE_SIZE", lambda i: (((i,),), 1)),
+    (semigroups_mod, "_intersect_cached", "_INTERSECT_CACHE_SIZE",
+     lambda i: (1, (((i,),),))),
+], ids=["dd", "witness", "plan", "intersect"])
+def test_caches_stay_within_their_bounds(mod, name, bound_name, args):
+    cache, bound = getattr(mod, name), getattr(mod, bound_name)
+    assert cache.cache_info().maxsize == bound
+    misses = cache.cache_info().misses
+    for i in range(1, bound + 20):
+        cache(*args(i))
+        assert cache.cache_info().currsize <= bound
+    assert cache.cache_info().misses - misses >= bound
+    cache.cache_clear()
