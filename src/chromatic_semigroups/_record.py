@@ -15,7 +15,10 @@ def record(cls):
     """Install __init__ (positional or keyword, then `__post_init__` if the
     class has one), the dataclass __repr__, same-class __eq__, __hash__,
     refusing __setattr__/__delattr__ and __match_args__ on `cls`."""
-    names = tuple(cls.__dict__["__annotations__"])
+    # read through the class, not its __dict__: with lazily evaluated
+    # annotations (PEP 649, CPython 3.14) the dict holds only __annotate__
+    # until the first read
+    names = tuple(cls.__annotations__)
     defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
     n = len(names)
     key = attrgetter(*names)

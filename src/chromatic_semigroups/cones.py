@@ -27,9 +27,11 @@ from ._linalg import (
 from ._record import record
 from .errors import DimensionMismatchError, TheoremContractError
 
-# entries in the double description cache: a long-running caller's memory
-# stays bounded, and one chromsg job meets far fewer distinct cones
-_DD_CACHE_SIZE = 1024
+# entries in each of the package's bounded caches (double descriptions here,
+# witnesses and plans in diophantine, intersections in semigroups): a
+# long-running caller's memory stays bounded, and one chromsg job meets far
+# fewer distinct inputs
+_CACHE_SIZE = 1024
 
 
 @record
@@ -228,7 +230,7 @@ def rational_feasible(rows, strict=()):
 # double description core
 
 
-@lru_cache(maxsize=_DD_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _generator_description(rows, dim):
     """Generators of {x in R^dim : row . x >= 0 for all rows}.
 

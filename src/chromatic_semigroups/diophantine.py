@@ -18,7 +18,8 @@ from math import inf
 
 from ._linalg import dot, is_zero
 from ._record import record
-from .cones import checked_inequalities, cone, is_pointed, suffix_descriptions
+from .cones import (
+    _CACHE_SIZE, checked_inequalities, cone, is_pointed, suffix_descriptions)
 from .errors import NotPointedError
 from .numerical import (
     _COUNT_CAP, _MODULUS_CAP, _denumerants, _residue_minima, _start_table)
@@ -28,9 +29,6 @@ from .numerical import (
 # residue minima (3 * 10**6 of each over <999983, 1000003, 1000033>: 29.7 s
 # against 2.0 s on a 2-core Xeon VM), or as one column's round-robin set-up
 _CELLS_PER_DEAD_STATE = 16
-# entries in the witness and plan caches: a long-running caller's memory
-# stays bounded, and one chromsg job meets far fewer distinct column sets
-_PLAN_CACHE_SIZE = 1024
 
 
 @record
@@ -50,7 +48,7 @@ class DiophantineInstance:
                 raise ValueError("column/right-hand-side length mismatch")
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _witness(columns, dim):
     """Integer functional positive on every column, or NotPointedError."""
     pointed, w = is_pointed(cone(columns, dim))
@@ -105,7 +103,7 @@ def count_solutions(inst, allowed):
     return sum(1 for _ in _search(sub))
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _plan_cached(cols, d):
     n = len(cols)
     w = _witness(cols, d)

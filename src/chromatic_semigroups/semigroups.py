@@ -13,6 +13,7 @@ from math import gcd, lcm
 from ._linalg import is_zero, vec_scale
 from ._record import record
 from .cones import (
+    _CACHE_SIZE,
     cone,
     contains_nonzero,
     contains_point,
@@ -30,9 +31,6 @@ from .errors import (
 from .numerical import _member_table, frobenius
 
 _SCALE_CAP = 10 ** 6
-# entries in the intersection cache: a long-running caller's memory stays
-# bounded, and one chromsg job or audit meets far fewer distinct families
-_INTERSECT_CACHE_SIZE = 1024
 
 
 @record
@@ -118,7 +116,7 @@ def intersect_semigroup_family(members):
     return _intersect_cached(dim, tuple(s.generators for s in members))
 
 
-@lru_cache(maxsize=_INTERSECT_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _intersect_cached(dim, gens_blocks):
     blocks = [list(g) for g in gens_blocks]
     if len(blocks) == 1:

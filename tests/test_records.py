@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+from chromatic_semigroups._record import record
 from chromatic_semigroups.errors import (
     DimensionMismatchError,
     NotPrimitiveError,
@@ -108,6 +109,24 @@ def _samples(cls):
 
 def test_every_public_record_type_is_covered():
     assert len(RECORDS) == 19
+
+
+def test_record_reads_annotations_through_the_class():
+    # with lazily evaluated annotations (PEP 649, CPython 3.14) a class
+    # dict holds no __annotations__ until they are read through the class
+    class Lazy(type):
+        @property
+        def __annotations__(cls):
+            return {"a": int, "b": int}
+
+    class Pair(metaclass=Lazy):
+        b = 2
+
+    assert "__annotations__" not in vars(Pair)
+    Pair = record(Pair)
+    assert Pair.__match_args__ == ("a", "b")
+    assert repr(Pair(1)) == repr(Pair(a=1, b=2)) == (
+        f"{Pair.__qualname__}(a=1, b=2)")
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -237,16 +237,14 @@ def test_family_nontrivial_agrees_with_chained_intersections():
                 assert member(s, w)[0]
 
 
-@pytest.mark.parametrize("mod, name, bound_name, args", [
-    (cones_mod, "_generator_description", "_DD_CACHE_SIZE",
-     lambda i: (((i,),), 1)),
-    (dio_mod, "_witness", "_PLAN_CACHE_SIZE", lambda i: (((i,),), 1)),
-    (dio_mod, "_plan_cached", "_PLAN_CACHE_SIZE", lambda i: (((i,),), 1)),
-    (semigroups_mod, "_intersect_cached", "_INTERSECT_CACHE_SIZE",
-     lambda i: (1, (((i,),),))),
+@pytest.mark.parametrize("mod, name, args", [
+    (cones_mod, "_generator_description", lambda i: (((i,),), 1)),
+    (dio_mod, "_witness", lambda i: (((i,),), 1)),
+    (dio_mod, "_plan_cached", lambda i: (((i,),), 1)),
+    (semigroups_mod, "_intersect_cached", lambda i: (1, (((i,),),))),
 ], ids=["dd", "witness", "plan", "intersect"])
-def test_caches_stay_within_their_bounds(mod, name, bound_name, args):
-    cache, bound = getattr(mod, name), getattr(mod, bound_name)
+def test_caches_stay_within_their_bounds(mod, name, args):
+    cache, bound = getattr(mod, name), cones_mod._CACHE_SIZE
     assert cache.cache_info().maxsize == bound
     misses = cache.cache_info().misses
     for i in range(1, bound + 20):
