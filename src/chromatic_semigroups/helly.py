@@ -7,7 +7,6 @@ size whose premise should force a nonzero common element:
 assertion is trusted, pointedness is checked.
 """
 
-import random
 from itertools import combinations, product
 from math import comb
 
@@ -112,6 +111,8 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None):
     elif max_subsets is None or comb(n, size) <= max_subsets:
         subsets = combinations(range(n), size)
     else:
+        # only sampled audits use random, and every job is a fresh process
+        import random
         rng = random.Random(seed)
         chosen = set()
         while len(chosen) < max_subsets:

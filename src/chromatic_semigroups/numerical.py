@@ -6,18 +6,21 @@ k-color targets are the translates offsets + S, an offset being a sum of
 one generator from each of k distinct classes, so Frobenius numbers, gaps
 and chromatic membership all read one minima vector.  Offsets and counts
 come from one fold over the classes that carries the number of classes
-used so far: the offsets as sets of sums, the counts as exact integer
-tables.  The count's quasipolynomial, exact for every positive target by
-Ehrhart-Macdonald reciprocity, is interpolated through n equally spaced
-counts per residue mod L: integer forward differences give the Newton
-form, its power basis scaled by (n - 1)! L^(n - 1) is integer, and each
-coefficient becomes one Fraction at the end.
+used so far: the offsets as sets of sums, the counts as the numerators of
+their generating functions, truncated at the bound, which one coin DP over
+all generators divides by prod (1 - t^a).  The count's quasipolynomial,
+exact for every positive target by Ehrhart-Macdonald reciprocity, is
+interpolated through n equally spaced counts per residue mod L: integer
+forward differences give the Newton form, its power basis scaled by
+(n - 1)! L^(n - 1) is integer, and each coefficient becomes one Fraction at
+the end.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from math import factorial, gcd, inf, lcm
+from operator import add, sub
 
 from ._record import record
 from .errors import NotPrimitiveError, SemigroupError, TheoremContractError
@@ -393,21 +396,40 @@ def build_reduction_instance(s, k, mode):
 
 def _mask_tables(classes, bound, k):
     """Number of solutions of each v <= bound that use at least k of the
-    classes, as one table.  Row j < k of `exact` counts the solutions that
-    use exactly j of the classes folded in so far; class c adds to it the
-    coin DP over c started from row j - 1, less row j - 1 (no coin of c).
-    The solutions in no row use at least k classes."""
+    classes, as one table: the series P/Q truncated at the bound.
+
+    With Q_c = prod_{a in c} (1 - t^a) and Q the product of all Q_c, the
+    solutions using exactly the set U of classes have the series
+    prod_{c in U} (1 - Q_c) prod_{c not in U} Q_c / Q.  Row j holds R_j,
+    the sum of those numerators over the j-sets U of the classes folded in
+    so far; class c folds in as R_j <- R_{j-1} + (R_j - R_{j-1}) Q_c, j
+    running down, from R_0 = 1.  Then P = 1 - sum_{j<k} R_j.  Every R_j
+    has degree at most the sum of the generators folded in, so the k rows
+    grow to at most min(sum, bound) + 1 cells, truncated at the bound: a
+    generator past it costs nothing.  One coin DP over all generators
+    divides by Q.
+    """
     start = _start_table(bound, k + 1)
-    exact = [start] + [[0] * (bound + 1) for _ in range(k - 1)]
+    rows = [[1]] + [[] for _ in range(k - 1)]
     for i, cls in enumerate(classes):
-        for j in range(min(k - 1, i + 1), 0, -1):  # rows above i are still 0
-            grown = _denumerants(cls, exact[j - 1])
-            exact[j] = [e + g - p
-                        for e, g, p in zip(exact[j], grown, exact[j - 1])]
-    total = _denumerants(chain.from_iterable(classes), start)
-    for row in exact:
-        total = [t - e for t, e in zip(total, row)]
-    return total
+        size = min(len(rows[0]) + sum(cls), bound + 1)
+        for row in rows:
+            row += [0] * (size - len(row))
+        for j in range(min(k - 1, i + 1), 0, -1):  # rows above i + 1 stay 0
+            lower = rows[j - 1]
+            diff = list(map(sub, rows[j], lower))
+            _times_binomials(diff, cls)
+            rows[j] = list(map(add, lower, diff))
+        _times_binomials(rows[0], cls)
+    start[:size] = map(sub, start[:size], map(sum, zip(*rows)))
+    del rows
+    return _denumerants(chain.from_iterable(classes), start)
+
+
+def _times_binomials(poly, coins):
+    """Multiply poly by prod_a (1 - t^a) in place, truncated at its length."""
+    for a in coins:
+        poly[a:] = map(sub, poly[a:], poly[:-a])
 
 
 def _start_table(bound, rows):
@@ -421,12 +443,13 @@ def _start_table(bound, rows):
 
 
 def _denumerants(coins, counts):
-    """Coin DP over a start table: entry v sums, over u weighted by
-    counts[u], the ways to write v - u as a sum of the coins."""
-    counts = list(counts)
+    """Coin DP over a start table, in place: entry v becomes the sum, over
+    u weighted by counts[u], of the ways to write v - u as a sum of the
+    coins.  Dividing by 1 - t^a is a running sum along each residue class
+    mod a; only the classes with two or more entries change."""
     for a in coins:
-        for v in range(a, len(counts)):
-            counts[v] += counts[v - a]
+        for r in range(min(a, len(counts) - a)):
+            counts[r::a] = accumulate(counts[r::a])
     return counts
 
 

@@ -696,3 +696,17 @@ def test_a_plain_job_imports_no_dataclasses_inspect_or_argparse(tmp_path):
     assert rc == 0
     assert "chromatic_semigroups.cli" in loaded
     assert not {"dataclasses", "inspect", "argparse"} & set(loaded)
+
+
+def test_the_package_import_leaves_random_unloaded(tmp_path):
+    # only sampled Helly audits use random; -S keeps `site`, which may load
+    # it for its own reasons, out of the picture
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import sys, chromatic_semigroups.cli; "
+             "print('random' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

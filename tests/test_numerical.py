@@ -1,11 +1,11 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import factorial, gcd, lcm, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chromatic_semigroups import (
@@ -29,7 +29,8 @@ from chromatic_semigroups import (
 )
 from chromatic_semigroups.colored import ColoredSemigroup
 from chromatic_semigroups.errors import NotPrimitiveError, SemigroupError
-from chromatic_semigroups.numerical import _mask_tables, _start_table
+from chromatic_semigroups.numerical import (
+    _denumerants, _mask_tables, _start_table)
 
 
 def random_instance(rng, max_ell=4, max_gen=30):
@@ -200,7 +201,9 @@ def test_size_caps_refuse_before_allocating():
         gap_set([1000, 10 ** 9 + 1])
     with pytest.raises(SemigroupError, match="gaps exceed the cap"):
         chromatic_frobenius(colored_numerical([1000], [10 ** 9 + 1]), 2)
-    # count tables: k + 1 rows of b + 1 cells (b = n L for a fit)
+    # count tables: refused where k + 1 tables of b + 1 cells would pass
+    # the cap (b = n L for a fit); the kernel holds one such table and k
+    # numerator rows of at most min(generator sum, b) + 1 cells
     with pytest.raises(SemigroupError, match="cells exceed the cap"):
         count_k_chromatic(colored_numerical([3], [5]), 10 ** 12, 1)
     with pytest.raises(SemigroupError, match="cells exceed the cap"):
@@ -466,6 +469,66 @@ def test_fit_matches_divided_differences(s):
             xs = [(r or period) + j * period for j in range(n)]
             want.append(interpolate(xs, [counts[x] for x in xs]))
         assert fit_quasipolynomial(s, k).constituents == tuple(want)
+
+
+# ---------------------------------------------------------------------------
+# the count table against a fold over target-sized rows
+
+
+def denumerants_by_cell(coins, counts):
+    """The coin DP one cell at a time, on a copy."""
+    counts = list(counts)
+    for a in coins:
+        for v in range(a, len(counts)):
+            counts[v] += counts[v - a]
+    return counts
+
+
+def mask_tables_by_rows(classes, bound, k):
+    """The count table from k + 1 rows of bound + 1 cells.  Row j < k of
+    `exact` counts the solutions that use exactly j of the classes folded
+    in so far; class c adds to it the coin DP over c started from row
+    j - 1, less row j - 1 (no coin of c).  The solutions in no row use at
+    least k classes."""
+    start = [1] + [0] * bound
+    exact = [start] + [[0] * (bound + 1) for _ in range(k - 1)]
+    for i, cls in enumerate(classes):
+        for j in range(min(k - 1, i + 1), 0, -1):  # rows above i are still 0
+            grown = denumerants_by_cell(cls, exact[j - 1])
+            exact[j] = [e + g - p
+                        for e, g, p in zip(exact[j], grown, exact[j - 1])]
+    total = denumerants_by_cell(chain.from_iterable(classes), start)
+    for row in exact:
+        total = [t - e for t, e in zip(total, row)]
+    return total
+
+
+# bounds on both sides of the numerators' degree, the generator sum
+@given(colored_semigroups(low=1, high=15, max_colors=5), st.data())
+def test_mask_tables_match_the_row_fold(s, data):
+    bound = data.draw(st.integers(0, 3 * sum(s.generators)), label="bound")
+    for k in range(1, s.n_colors + 1):
+        assert _mask_tables(s.classes, bound, k) == \
+            mask_tables_by_rows(s.classes, bound, k)
+
+
+def test_mask_tables_truncate_past_the_bound():
+    # untruncated, the numerators would hold 10^12 + 1 cells
+    classes = ((3,), (5,), (10 ** 12,))
+    for k in (1, 2, 3):
+        assert _mask_tables(classes, 100, k) == \
+            mask_tables_by_rows(classes, 100, k)
+
+
+@given(st.lists(st.integers(1, 40), max_size=6),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=30))
+@example([1], [1, 0, 0, 0, 0])
+@example([1, 3, 7], [2, -1, 0, 5, 0, 0, 0, 0])
+@example([31, 40], [1, 2, 3])
+@example([1, 2, 50], [4])
+def test_strided_denumerants_match_the_cell_loop(coins, counts):
+    assert _denumerants(coins, list(counts)) == \
+        denumerants_by_cell(coins, counts)
 
 
 # ---------------------------------------------------------------------------
