@@ -3,17 +3,21 @@
 The monoid {z >= 0 integer : B z = 0} is the lattice-point monoid of a
 pointed rational cone.  Its Hilbert basis is computed from the extreme
 rays: the cone is triangulated by pulling from a ray, the half-open
-fundamental parallelepiped of every simplicial cell is enumerated through
-coset representatives of the ray lattice inside the saturated span lattice,
-and the union of parallelepiped points and rays is reduced to the minimal
-elements.  Output is unique, so it agrees with any correct completion
-procedure while staying fast when minimal solutions have large entries.
+fundamental parallelepiped of every simplicial cell is enumerated, and
+the union of parallelepiped points and rays is reduced to the minimal
+elements.  Each cell is brought to one lower-triangular form by unimodular
+column operations; the lattice of its span, the coset representatives of
+its ray lattice and the fold into the parallelepiped all follow from that
+form by forward substitution, in integer arithmetic.  Output is unique,
+so it agrees with any correct completion procedure while staying fast
+when minimal solutions have large entries.
 """
 
 from itertools import product
+from math import prod
+from operator import mul
 
-from ._lattice import column_hnf, saturation_basis, solve_exact
-from ._linalg import dot, rref
+from ._linalg import dot
 from .cones import _generator_description
 from .errors import TheoremContractError
 
@@ -30,10 +34,9 @@ def hilbert_basis_pointed(rows, k):
         raise TheoremContractError("orthant cone contains a line")
     if not rays:
         return ()
-    sat = saturation_basis(rays, k)
     candidates = set(rays)
     for cell in _triangulate(list(rays), k):
-        candidates |= _parallelepiped_points(cell, sat)
+        candidates |= _parallelepiped_points(cell)
     return _minimal_elements(candidates)
 
 
@@ -45,19 +48,15 @@ def _minimal_elements(candidates):
     return tuple(sorted(basis))
 
 
-def _rank(vectors):
-    if not vectors:
-        return 0
-    reduced, _ = rref([list(v) for v in vectors])
-    return len(reduced)
-
-
 def _triangulate(rays, k):
-    """Simplicial cells covering cone(rays), by pulling from the first ray."""
-    t = _rank(rays)
-    if len(rays) == t:
+    """Simplicial cells covering cone(rays), by pulling from the first ray.
+
+    The lineality of the dual cone is the orthogonal complement of the
+    rays' span, so the rank of the rays is k less its dimension.
+    """
+    lin, facets = _generator_description(tuple(rays), k)
+    if len(rays) == k - len(lin):
         return [tuple(rays)]
-    _, facets = _generator_description(tuple(rays), k)
     apex = rays[0]
     cells = []
     for row in facets:
@@ -69,55 +68,66 @@ def _triangulate(rays, k):
     return cells
 
 
-def _parallelepiped_points(cell, sat):
+def _parallelepiped_points(cell):
     """Nonzero lattice points of {sum l_i r_i : 0 <= l_i < 1} for a cell.
 
-    Enumerated as coset representatives of the cell-ray lattice inside the
-    saturated span lattice, each folded into the half-open box.
+    Unimodular column operations (Euclid's algorithm, row by row) bring
+    the ray rows G to [B 0], with B lower-triangular and B_ii > 0.  The
+    rows of E = B^-1 G are then a basis of the lattice points of the
+    cell's span, in which ray i has the coordinates of row i of B, so the
+    mu E with mu in the box prod [0, B_ii) represent the cosets of the
+    ray lattice.  Each is folded into the half-open parallelepiped by
+    subtracting floor(mu B^-1) G, read off the integer D B^-1, D = det B.
     """
     t = len(cell)
-    if len(sat) != t:
-        raise TheoremContractError("cell does not span the saturated lattice")
-    coord_cols = []
-    for r in cell:
-        coords = solve_exact(sat, r)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            raise TheoremContractError("ray escapes the saturated lattice")
-        coord_cols.append(tuple(int(c) for c in coords))
-    c_rows = [tuple(col[i] for col in coord_cols) for i in range(t)]
-    h, _ = column_hnf(c_rows)
-    diag = [h[i][i] for i in range(t)]
-    if any(d <= 0 for d in diag):
-        raise TheoremContractError("cell rays are linearly dependent")
-    # integer adjugate over the common denominator D = |det C|, so the box
-    # scan below stays in integer arithmetic
-    denom = 1
-    for d in diag:
-        denom *= d
-    adj = []
-    for i in range(t):
-        unit = tuple(1 if j == i else 0 for j in range(t))
-        inv_col = solve_exact(coord_cols, unit)
-        adj.append(tuple(int(c * denom) for c in inv_col))
     dim = len(cell[0])
-    points = set()
-    for a in product(*[range(d) for d in diag]):
-        if not any(a):
-            continue
-        z = [0] * dim
+    cols = [list(c) for c in zip(*cell)]
+    for i in range(t):
+        # columns from i on vanish in the rows above i, so whole columns
+        # are combined
+        while True:
+            live = [j for j in range(i, dim) if cols[j][i]]
+            if not live:
+                raise TheoremContractError("cell rays are linearly dependent")
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            if len(live) == 1:
+                break
+            for j in live:
+                if j != p:
+                    q = cols[j][i] // cols[p][i]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+        cols[i], cols[p] = cols[p], cols[i]
+        if cols[i][i] < 0:
+            cols[i] = [-a for a in cols[i]]
+    tri = [[cols[j][i] for j in range(i + 1)] for i in range(t)]
+    diag = [tri[i][i] for i in range(t)]
+    denom = prod(diag)
+
+    def forward(rhs):
+        """The rows X with B X = rhs; every division must be exact."""
+        out = []
         for i in range(t):
-            ai = a[i]
-            if ai:
-                row = sat[i]
-                for j in range(dim):
-                    z[j] += ai * row[j]
-        for j in range(t):
-            num = sum(a[i] * adj[i][j] for i in range(t))
-            f = num // denom
+            acc = list(rhs[i])
+            for j in range(i):
+                f = tri[i][j]
+                if f:
+                    acc = [a - f * x for a, x in zip(acc, out[j])]
+            if any(a % diag[i] for a in acc):
+                raise TheoremContractError(
+                    "inexact division in a cell's triangular form")
+            out.append([a // diag[i] for a in acc])
+        return out
+
+    basis_cols = list(zip(*forward(cell)))
+    adj_cols = list(zip(*forward(
+        [[denom if j == i else 0 for j in range(t)] for i in range(t)])))
+    points = set()
+    for mu in product(*[range(d) for d in diag]):
+        z = [sum(map(mul, mu, e)) for e in basis_cols]
+        for col, ray in zip(adj_cols, cell):
+            f = sum(map(mul, mu, col)) // denom
             if f:
-                row = cell[j]
-                for x in range(dim):
-                    z[x] -= f * row[x]
+                z = [a - f * b for a, b in zip(z, ray)]
         if any(z):
             points.add(tuple(z))
     return points

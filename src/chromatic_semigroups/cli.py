@@ -5,10 +5,9 @@ for stdin), runs one computation, and writes a single report, as indented
 text by default or as JSON with --json; both carry the same numeric
 content.  Each subcommand is declared once, in the `_SUBCOMMANDS` table.
 `main` reads a plain argv (the subcommand's own flags with their values,
-and the instance) straight off that table, and builds argparse only for
-help and usage errors: the subparser of the named subcommand alone (all
-of them for `--help`, an unknown name or none).  It then reads the
-instance for the handler.
+and the instance) straight off that table, and builds the argparse
+parser only for help and usage errors.  It then reads the instance for
+the handler.
 
 Exit codes: 0 success; 1 definite negative on a decision subcommand
 (`member` false, `tverberg` miss under an unmet hypothesis); 2 usage or
@@ -66,9 +65,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
     if args is None:  # argparse reads it, or prints help or a usage error
-        names = [name for name in _SUBCOMMANDS if argv[:1] == [name]]
         try:
-            args = build_parser(names or list(_SUBCOMMANDS)).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     command = _SUBCOMMANDS[args.subcommand]
@@ -147,22 +145,15 @@ def _read_argv(argv):
     return SimpleNamespace(**args)
 
 
-def build_parser(names):
-    """The parser with the subparsers of `names` (table names, in order)."""
+def build_parser():
+    """The argparse parser, with one subparser per table entry."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="chromsg",
         description="Exact computations with colored affine and numerical semigroups.")
-    # A parser built for one subcommand still lists every name in its usage
-    # line.  The full parser lists them from its choices instead, so that its
-    # errors keep naming the argument "subcommand".
-    every = "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(
-        dest="subcommand", required=True,
-        metavar=None if len(names) == len(_SUBCOMMANDS) else every)
-    for name in names:
-        command = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, command in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=command.summary)
         if command.reads_instance:
             p.add_argument("instance", help="instance document path, or - for stdin")

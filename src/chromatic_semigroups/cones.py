@@ -183,18 +183,13 @@ def intersect_cones(cones):
 def contains_nonzero(c):
     """Whether the cone strictly contains {0}; returns (flag, witness).
 
-    The witness is a nonzero primitive integer point of the cone (the
-    lexicographically least canonical generator).
+    The generators span the cone, so it is {0} exactly when all of them
+    are zero.  The witness is a nonzero primitive integer point of the
+    cone (the lexicographically least nonzero generator, made primitive).
     """
-    if c.generators:
-        nonzero = [g for g in c.generators if not is_zero(g)]
-        if nonzero:
-            return True, primitive(min(nonzero))
-    lin, rays = _generator_description(
-        dd_convert(c).inequalities, c.dimension)
-    gens = _canonical_generators(lin, rays)
-    if gens:
-        return True, gens[0]
+    nonzero = [g for g in c.generators if not is_zero(g)]
+    if nonzero:
+        return True, primitive(min(nonzero))
     return False, None
 
 

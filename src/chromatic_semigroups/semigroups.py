@@ -10,7 +10,7 @@ is then reduced to the minimal generating set.
 from functools import lru_cache
 from math import gcd, lcm
 
-from ._linalg import is_zero, vec_scale
+from ._linalg import dot, is_zero, vec_scale
 from ._record import record
 from .cones import (
     _CACHE_SIZE,
@@ -120,13 +120,21 @@ def intersect_semigroup_family(members):
 def _intersect_cached(dim, gens_blocks):
     blocks = [list(g) for g in gens_blocks]
     if len(blocks) == 1:
-        images = list(blocks[0])
-        if is_pointed(cone(images, dim))[0]:
-            images = _drop_generated(dim, images)
-        return AffineSemigroup(dim, tuple(images))
-    if dim == 1 and all(g[0] > 0 for b in blocks for g in b):
+        images = blocks[0]
+    elif dim == 1 and all(g[0] > 0 for b in blocks for g in b):
         gens = _numerical_intersection([[g[0] for g in b] for b in blocks])
         return AffineSemigroup(1, tuple((g,) for g in gens))
+    else:
+        images = _kernel_images(dim, blocks)
+    pointed, w = is_pointed(cone(images, dim))
+    if pointed:
+        images = _drop_generated(images, w)
+    return AffineSemigroup(dim, tuple(images))
+
+
+def _kernel_images(dim, blocks):
+    """The nonzero images A_1 x_1 of the Hilbert basis of the block kernel
+    {(x_1, ..., x_l) >= 0 : A_1 x_1 = ... = A_l x_l}, sorted."""
     sizes = [len(b) for b in blocks]
     total = sum(sizes)
     offsets = []
@@ -151,20 +159,23 @@ def _intersect_cached(dim, gens_blocks):
                     for j in range(dim))
         if not is_zero(img):
             images.add(img)
-    images = sorted(images)
-    if is_pointed(cone(images, dim))[0]:
-        images = _drop_generated(dim, images)
-    return AffineSemigroup(dim, tuple(images))
+    return sorted(images)
 
 
-def _drop_generated(dim, points):
-    keep = []
-    for i, p in enumerate(points):
-        others = tuple(q for j, q in enumerate(points) if j != i)
-        found, _ = is_member(DiophantineInstance(others, p))
-        if not found:
-            keep.append(p)
-    return keep
+def _drop_generated(points, w):
+    """The points that the others do not generate, for distinct nonzero
+    points of a pointed cone on which w is positive.
+
+    A sum of nonzero points has larger degree w . p than each summand, so
+    one pass by degree tests each point against the points kept so far
+    (Rosales & Garcia-Sanchez 1999): every dropped one is a sum of kept
+    ones of smaller degree.
+    """
+    kept = []
+    for p in sorted(points, key=lambda p: (dot(w, p), p)):
+        if not is_member(DiophantineInstance(tuple(kept), p))[0]:
+            kept.append(p)
+    return kept
 
 
 def _numerical_intersection(value_blocks):

@@ -8,6 +8,8 @@ from itertools import product
 from math import gcd, inf, prod
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from chromatic_semigroups import (
     DiophantineInstance,
@@ -18,6 +20,8 @@ from chromatic_semigroups import (
     iter_solutions,
 )
 from chromatic_semigroups import diophantine as dio
+from chromatic_semigroups._hilbert import _parallelepiped_points
+from chromatic_semigroups._linalg import rref
 from chromatic_semigroups import numerical
 from chromatic_semigroups.errors import NotPointedError
 
@@ -180,6 +184,48 @@ def _decomposes(z, basis):
             if _decomposes(rest, basis):
                 return True
     return False
+
+
+def parallelepiped_scan(cell):
+    """Nonzero integer points of {lambda G : lambda in [0, 1)^t} by a scan.
+
+    A point of the span is fixed by its coordinates on t pivot columns of
+    the rays G, so those coordinates run over the cell's bounding box and
+    lambda is solved from them in Fractions; the point is kept when lambda
+    lies in [0, 1)^t and lambda G is integral.  None for dependent rays.
+    """
+    t = len(cell)
+    _, pivots = rref(cell)
+    if len(pivots) < t:
+        return None
+    aug, _ = rref([[r[p] for p in pivots] + [int(i == j) for j in range(t)]
+                   for i, r in enumerate(cell)])
+    inverse = [row[t:] for row in aug]
+    box = [range(sum(min(r[p], 0) for r in cell),
+                 sum(max(r[p], 0) for r in cell) + 1) for p in pivots]
+    points = set()
+    for zp in product(*box):
+        lam = [sum(z * row[j] for z, row in zip(zp, inverse))
+               for j in range(t)]
+        if not all(0 <= x < 1 for x in lam):
+            continue
+        z = [sum(x * r[c] for x, r in zip(lam, cell))
+             for c in range(len(cell[0]))]
+        if any(z) and all(c.denominator == 1 for c in z):
+            points.add(tuple(int(c) for c in z))
+    return points
+
+
+@example(((2, 0), (0, 3)))  # index 6, full rank
+@example(((1, 1, 0), (1, -1, 0)))  # index 2 inside a plane
+@example(((3, 0, 1, 0), (0, 3, 1, 0), (1, 1, 0, 3)))  # index 3, t = 3, k = 4
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * k), min_size=1, max_size=min(k, 3))))
+def test_parallelepiped_points_match_a_box_scan(cell):
+    cell = tuple(cell)
+    want = parallelepiped_scan(cell)
+    assume(want is not None)
+    assert _parallelepiped_points(cell) == want
 
 
 def test_count_solutions_examples():

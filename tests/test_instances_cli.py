@@ -450,7 +450,7 @@ def test_plain_argv_never_builds_a_parser(golden_exit_codes, capsys,
     # as JSON
     def accepted(argv):
         try:
-            cli_mod.build_parser(list(cli_mod._SUBCOMMANDS)).parse_args(argv)
+            cli_mod.build_parser().parse_args(argv)
         except SystemExit:
             return False
         finally:
@@ -475,7 +475,7 @@ def test_plain_argv_never_builds_a_parser(golden_exit_codes, capsys,
         patch.setattr(cli_mod, "_read_argv", lambda argv: None)
         through_argparse = [run(argv) for argv, _ in plain]
 
-    def boom(names):
+    def boom():
         raise AssertionError("a plain argv built an argparse parser")
 
     monkeypatch.setattr(cli_mod, "build_parser", boom)
@@ -523,7 +523,7 @@ def _argvs(draw):
 @given(_argvs())
 def test_read_argv_matches_argparse(argv):
     read = cli_mod._read_argv(argv)
-    parser = cli_mod.build_parser(list(cli_mod._SUBCOMMANDS))
+    parser = cli_mod.build_parser()
     with mock.patch.dict(os.environ, COLUMNS="80"), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -645,7 +645,7 @@ HELP_GOLDEN = Path(__file__).with_name("cli_help_golden.json")
                     reason="help text recorded with CPython 3.11's argparse")
 def test_help_and_usage_text_golden(two_color_path, capsys, monkeypatch):
     # argparse wraps help text at $COLUMNS; the golden file is 80 wide.
-    # Single-subcommand parsers must print the full parser's usage line.
+    # One parser with every subparser words all help and usage errors.
     monkeypatch.setenv("COLUMNS", "80")
     rows = json.loads(HELP_GOLDEN.read_text())
     for row in rows:

@@ -7,10 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chromatic_semigroups import (
+    DiophantineInstance,
+    cone,
     cone_of,
     family_intersection_nontrivial,
     intersect_cones,
     intersect_semigroups,
+    is_member,
+    is_pointed,
     is_pointed_semigroup,
     member,
     scale_into,
@@ -161,6 +165,46 @@ def test_intersection_matches_bruteforce_random():
         for i, g in enumerate(got.generators):
             others = tuple(h for j, h in enumerate(got.generators) if j != i)
             assert g not in closure(others, 1, sum(g))
+
+
+def drop_generated_leave_one_out(points):
+    """The points that the others do not generate, each tested against all
+    the others: the reference for the reduction by degree."""
+    keep = []
+    for i, p in enumerate(points):
+        others = tuple(q for j, q in enumerate(points) if j != i)
+        if not is_member(DiophantineInstance(others, p))[0]:
+            keep.append(p)
+    return keep
+
+
+def test_drop_generated_matches_leave_one_out():
+    rng = random.Random(37)
+    for _ in range(40):
+        dim = rng.choice([2, 3])
+        gens = random_pointed_semigroup(rng, dim, 5, lo=-4, hi=4).generators
+        # sums of two generators are reducible unless they repeat one
+        sums = {tuple(a + b for a, b in zip(rng.choice(gens), rng.choice(gens)))
+                for _ in range(rng.randint(0, 4))}
+        points = sorted(set(gens) | sums)
+        rng.shuffle(points)
+        pointed, w = is_pointed(cone(points, dim))
+        assert pointed
+        assert (sorted(semigroups_mod._drop_generated(points, w))
+                == sorted(drop_generated_leave_one_out(points)))
+
+
+def test_intersection_builds_one_plan_per_kept_generator():
+    # 27 kernel images reduce to 15 generators: testing each image against
+    # the generators kept so far builds at most one search plan per kept
+    # one, where leave-one-out built one per image
+    members = [semigroup([(2, 1), (3, 3), (5, 4)]),
+               semigroup([(1, 4), (4, 1), (4, 5)])]
+    semigroups_mod._intersect_cached.cache_clear()
+    dio_mod._plan_cached.cache_clear()
+    got = intersect_semigroup_family(members)
+    assert len(got.generators) == 15
+    assert dio_mod._plan_cached.cache_info().misses <= len(got.generators)
 
 
 def reach(gens, top):
