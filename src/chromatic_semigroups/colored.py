@@ -11,7 +11,7 @@ every dimension.
 
 from itertools import combinations_with_replacement
 
-from ._linalg import is_zero, vec_add
+from ._linalg import int_vector, is_zero, vec_add
 from ._record import record
 from .cones import cone, is_pointed
 from .diophantine import (
@@ -29,9 +29,9 @@ class ColoredSemigroup:
     classes: tuple
 
     def __post_init__(self):
-        cols = tuple(tuple(int(c) for c in col) for col in self.columns)
+        cols = tuple(int_vector(col) for col in self.columns)
         object.__setattr__(self, "columns", cols)
-        classes = tuple(tuple(int(i) for i in cls) for cls in self.classes)
+        classes = tuple(int_vector(cls) for cls in self.classes)
         object.__setattr__(self, "classes", classes)
         n = len(cols)
         for col in cols:
@@ -77,7 +77,7 @@ class SolutionClassification:
 
 def classify(s, x):
     """Color profile of a solution vector (not checked against any target)."""
-    x = tuple(int(v) for v in x)
+    x = int_vector(x)
     if len(x) != len(s.columns):
         raise ValueError("solution length does not match the column count")
     if any(v < 0 for v in x):

@@ -1,25 +1,25 @@
 """Exact rational polyhedral cone arithmetic.
 
-Cones are handled entirely over arbitrary-precision rationals: generator
-(V) descriptions, inequality (H) descriptions, conversion between the two
-by the double description method (one incremental pass that carries each
+Cones are handled in arbitrary-precision integers: generator (V)
+descriptions, inequality (H) descriptions, conversion between the two by
+the double description method (one incremental pass that carries each
 ray's zero set as a bit mask and can report every intermediate cone),
-pointedness read off the dual cone, and exact intersections with
-canonically normalized extreme rays.  Feasibility of affine inequality
-systems (`rational_feasible`, public API that no other function here
-calls) is read off the same double description; the package holds no LP.
+canonical forms by fraction-free Gauss-Jordan elimination, pointedness
+read off the dual cone, and exact intersections with canonically
+normalized extreme rays.  Feasibility of affine inequality systems
+(`rational_feasible`, public API that no other function here calls) is
+read off the same double description; it is the one function here that
+takes and returns rationals, and the package holds no LP.
 """
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from ._linalg import (
     dot,
+    int_vector,
     is_zero,
     primitive,
-    reduce_mod_rows,
-    rref,
-    sign_canonical,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -56,7 +56,7 @@ def cone(generators, dimension=None):
     exact duplicates are removed.  `dimension` is required when the
     generator list is empty.
     """
-    gens = [tuple(int(c) for c in g) for g in generators]
+    gens = [int_vector(g) for g in generators]
     if dimension is None:
         if not gens:
             raise ValueError("dimension required for a cone with no generators")
@@ -80,7 +80,7 @@ def cone(generators, dimension=None):
 
 def cone_from_inequalities(rows, dimension):
     """Cone {x : row . x >= 0 for every row}, with generators computed."""
-    rows = tuple(tuple(int(c) for c in r) for r in rows)
+    rows = tuple(int_vector(r) for r in rows)
     for r in rows:
         if len(r) != dimension:
             raise DimensionMismatchError(f"row {r} does not have dimension {dimension}")
@@ -121,9 +121,11 @@ def checked_inequalities(description, generators):
 def ray_description(c):
     """(lineality basis, extreme rays) of the cone, canonically normalized.
 
-    Lineality representatives are RREF-reduced, primitive, first nonzero
-    coordinate positive; extreme rays are reduced modulo the lineality,
-    primitive, and keep their cone-membership direction; both lists are
+    The lineality basis is the reduced row echelon basis of the lineality
+    space with each row scaled to a primitive integer vector (so its
+    pivot, its first nonzero coordinate, is positive); extreme rays are
+    reduced modulo the lineality (zero in every pivot column), primitive,
+    and keep their cone-membership direction; both lists are
     lexicographically sorted.
     """
     c = dd_convert(c)
@@ -205,14 +207,21 @@ def rational_feasible(rows, strict=()):
     iff t and every strict row are positive at z, and then z / t is a
     solution.
     """
-    rows = [tuple(Fraction(c) for c in r) for r in rows]
+    from fractions import Fraction
+
+    rows = [tuple(map(Fraction, r)) for r in rows]
     if not rows:
         return ()
     m = len(rows[0]) - 1
     if any(len(r) != m + 1 for r in rows):
         raise ValueError("ragged inequality system")
     strict = frozenset(strict)
-    cone_rows = tuple(r[:m] + (-r[m],) for r in rows)
+    cone_rows = []
+    for r in rows:
+        # times the lcm of its denominators: the same primitive row
+        d = lcm(*(c.denominator for c in r))
+        cone_rows.append(tuple(int(c * d) for c in r[:m] + (-r[m],)))
+    cone_rows = tuple(cone_rows)
     rays = _generator_description(cone_rows + ((0,) * m + (1,),), m + 1)[1]
     z = [sum(col) for col in zip(*rays)] or [0] * (m + 1)
     if z[m] <= 0 or any(dot(r, z) <= 0 for i, r in enumerate(cone_rows)
@@ -230,7 +239,7 @@ def _generator_description(rows, dim):
     """Generators of {x in R^dim : row . x >= 0 for all rows}.
 
     Returns (lineality, rays): canonical primitive integer vectors, the
-    lineality basis in RREF with first nonzero coordinate positive, the
+    lineality basis in reduced row echelon form with positive pivots, the
     extreme rays reduced modulo the lineality; both sorted.  Incremental
     double description with the combinatorial adjacency test; each ray
     carries the bit mask of the inserted rows that vanish on it, updated
@@ -316,15 +325,37 @@ def _fold(d0, v, dv, l0):
 
 
 def _canonical_description(lineality, rays):
-    if lineality:
-        lin_rref, pivots = rref(lineality)
-        lin = sorted(sign_canonical(primitive(row)) for row in lin_rref)
-        red_rays = sorted({primitive(reduce_mod_rows(r, lin_rref, pivots))
-                           for r in rays})
-    else:
-        lin = []
-        red_rays = sorted({primitive(r) for r in rays})
-    return tuple(lin), tuple(red_rays)
+    """A raw double description state in canonical form, in integers.
+
+    Gauss-Jordan elimination without division (Bareiss 1968): each
+    lineality vector is reduced against the rows kept so far and led by a
+    positive pivot, and the kept rows are cleared in its pivot column.
+    Every row is then zero in the other rows' pivot columns, primitive,
+    with a positive pivot: the primitive multiple of a row of the reduced
+    row echelon form, which is unique.  Every ray is reduced the same way.
+    The rays of a `_dd_steps` state are already primitive.
+    """
+    if not lineality:
+        return (), tuple(sorted(rays))
+    basis = []
+    for l in lineality:
+        l = _reduce(l, basis)
+        c = next(j for j, a in enumerate(l) if a)
+        if l[c] < 0:
+            l = vec_neg(l)
+        basis = [(_fold(l[c], row, row[c], l), k) for row, k in basis]
+        basis.append((l, c))
+    return (tuple(sorted(row for row, _ in basis)),
+            tuple(sorted({_reduce(r, basis) for r in rays})))
+
+
+def _reduce(v, basis):
+    """v cleared in every pivot column of `basis` (pairs of a row and its
+    pivot column) by `_fold`: v plus a combination of the rows, times a
+    positive factor, and primitive when v is."""
+    for row, c in basis:
+        v = _fold(row[c], v, v[c], row)
+    return v
 
 
 def _adjacent(common, ip, im, masks):

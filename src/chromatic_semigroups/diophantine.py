@@ -16,7 +16,7 @@ Homogeneous systems get their Hilbert basis geometrically (see `_hilbert`).
 from functools import lru_cache
 from math import inf
 
-from ._linalg import dot, is_zero
+from ._linalg import dot, int_vector, is_zero
 from ._record import record
 from .cones import (
     _CACHE_SIZE, checked_inequalities, cone, is_pointed, suffix_descriptions)
@@ -39,8 +39,8 @@ class DiophantineInstance:
     rhs: tuple
 
     def __post_init__(self):
-        cols = tuple(tuple(int(c) for c in col) for col in self.columns)
-        rhs = tuple(int(c) for c in self.rhs)
+        cols = tuple(int_vector(col) for col in self.columns)
+        rhs = int_vector(self.rhs)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "rhs", rhs)
         for col in cols:
@@ -282,7 +282,7 @@ def hilbert_basis_homogeneous(rows):
     a slow completion procedure.  The Hilbert basis is unique, so both
     agree.  Canonically sorted.
     """
-    rows = [tuple(int(c) for c in r) for r in rows]
+    rows = [int_vector(r) for r in rows]
     if not rows:
         raise ValueError("empty system; pass at least one row")
     k = len(rows[0])

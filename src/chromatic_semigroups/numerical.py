@@ -22,6 +22,7 @@ from itertools import accumulate, chain, compress
 from math import factorial, gcd, inf, lcm
 from operator import add, sub
 
+from ._linalg import int_vector
 from ._record import record
 from .errors import NotPrimitiveError, SemigroupError, TheoremContractError
 
@@ -43,7 +44,7 @@ class ColoredNumericalSemigroup:
     classes: tuple
 
     def __post_init__(self):
-        classes = tuple(tuple(sorted(set(int(a) for a in cls)))
+        classes = tuple(tuple(sorted(set(int_vector(cls))))
                         for cls in self.classes)
         object.__setattr__(self, "classes", classes)
         if not classes:
@@ -91,7 +92,7 @@ def _member_table(gens, bound):
 
 
 def _check_primitive(vals):
-    vals = tuple(sorted(set(int(v) for v in vals)))
+    vals = tuple(sorted(set(int_vector(vals))))
     if not vals or any(v < 1 for v in vals):
         raise ValueError("generators must be positive integers")
     g = gcd(*vals)

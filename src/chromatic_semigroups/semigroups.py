@@ -10,7 +10,7 @@ is then reduced to the minimal generating set.
 from functools import lru_cache
 from math import gcd, lcm
 
-from ._linalg import dot, is_zero, vec_scale
+from ._linalg import dot, int_vector, is_zero, vec_scale
 from ._record import record
 from .cones import (
     _CACHE_SIZE,
@@ -44,7 +44,7 @@ class AffineSemigroup:
         gens = []
         seen = set()
         for g in self.generators:
-            t = tuple(int(c) for c in g)
+            t = int_vector(g)
             if len(t) != self.dimension:
                 raise DimensionMismatchError(
                     f"generator {t} does not have dimension {self.dimension}")
@@ -238,7 +238,7 @@ def scale_into(s, p):
     k is guaranteed for such points.  Membership tests require the semigroup
     to be pointed.
     """
-    p = tuple(int(c) for c in p)
+    p = int_vector(p)
     if is_zero(p):
         raise PointNotInConeError("the zero vector is excluded")
     if not contains_point(dd_convert(cone_of(s)), p):

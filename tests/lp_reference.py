@@ -1,5 +1,5 @@
-"""Exact LP feasibility, the tests' independent reference for the double
-description.
+"""Exact LP feasibility and rational row reduction, the tests' independent
+references for the double description.
 
 A two-phase simplex over the rationals with Bland's pivot rule: small and
 deterministic, and every coefficient is a Fraction, so there is no
@@ -7,9 +7,14 @@ tolerance anywhere.  `lp_feasible` decides the same systems as the
 package's `cones.rational_feasible`, which reads its answer off the double
 description instead; the tests check the two against each other and check
 membership of rational points in cones and pointedness against the LP.
+
+`rref`, `reduce_mod_rows`, `sign_canonical` and the Fraction-aware
+`primitive` put a double description state in canonical form over the
+rationals, the oracle for the package's integer Gauss-Jordan pass.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -180,3 +185,63 @@ def _pivot(tableau, basis, r, c):
             f = tableau[i][c]
             tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
     basis[r] = c
+
+
+# ---------------------------------------------------------------------------
+# rational row reduction
+
+
+def primitive(v):
+    """Scale a nonzero rational vector by a positive factor to coprime ints."""
+    mult = lcm(*(Fraction(a).denominator for a in v))
+    ints = tuple(int(a * mult) for a in v)
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(a // g for a in ints)
+
+
+def sign_canonical(v):
+    """Flip sign so the first nonzero coordinate is positive."""
+    for a in v:
+        if a != 0:
+            return v if a > 0 else tuple(-a for a in v)
+    return v
+
+
+def rref(rows):
+    """Reduced row echelon form over the rationals.
+
+    Returns (rref_rows, pivot_columns); zero rows are dropped.
+    """
+    mat = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0),
+                         None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pv = mat[r][c]
+        mat[r] = [a / pv for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def reduce_mod_rows(v, rref_rows, pivots):
+    """Subtract multiples of RREF rows from v to zero out the pivot columns."""
+    w = [Fraction(a) for a in v]
+    for row, c in zip(rref_rows, pivots):
+        if w[c] != 0:
+            f = w[c]  # row[c] == 1 in RREF
+            w = [a - f * b for a, b in zip(w, row)]
+    return tuple(w)

@@ -6,24 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromatic_semigroups import (
+    AffineSemigroup,
+    ColoredSemigroup,
+    DiophantineInstance,
+    classify,
+    colored_numerical,
     cone,
     cone_from_inequalities,
     contains_nonzero,
     contains_point,
     dd_convert,
+    frobenius,
+    hilbert_basis_homogeneous,
     intersect_cones,
     is_pointed,
     rational_feasible,
     ray_description,
+    scale_into,
+    semigroup,
 )
 from chromatic_semigroups import cones as cones_mod
 from chromatic_semigroups._linalg import (
     dot,
     is_zero,
-    primitive,
-    reduce_mod_rows,
-    rref,
-    sign_canonical,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -38,7 +43,13 @@ from chromatic_semigroups.errors import (
     DimensionMismatchError,
     TheoremContractError,
 )
-from lp_reference import lp_feasible
+from lp_reference import (
+    lp_feasible,
+    primitive,
+    reduce_mod_rows,
+    rref,
+    sign_canonical,
+)
 
 
 def _dot(u, v):
@@ -184,13 +195,14 @@ def test_rational_feasible_edge_rows():
 
 @st.composite
 def _affine_systems(draw):
-    """Rows a . x >= c in 0-4 variables with Fraction rows, zero rows and
-    rows (0, ..., 0, c) mixed in, and a random strict set."""
+    """Rows a . x >= c in 0-4 variables, some mixing ints and Fractions with
+    denominators up to 10^4, with zero rows and rows (0, ..., 0, c) mixed
+    in, and a random strict set."""
     m = draw(st.integers(0, 4))
     entry = st.integers(-3, 3)
-    fraction = st.builds(Fraction, entry, st.integers(1, 3))
+    mixed = st.one_of(entry, st.builds(Fraction, entry, st.integers(1, 10 ** 4)))
     row = st.one_of(st.tuples(*[entry] * (m + 1)),
-                    st.tuples(*[fraction] * (m + 1)),
+                    st.tuples(*[mixed] * (m + 1)),
                     st.builds(lambda c: (0,) * m + (c,), entry),
                     st.just((0,) * (m + 1)))
     rows = draw(st.lists(row, min_size=1, max_size=7))
@@ -211,6 +223,33 @@ def test_rational_feasible_matches_lp(case):
     for i, row in enumerate(rows):
         slack = _dot(row[:m], point) - row[m]
         assert slack > 0 if i in strict else slack >= 0, (i, row)
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: cone([(x, 1), (1, 0)]),
+    lambda x: cone_from_inequalities([(x, -1)], 2),
+    lambda x: DiophantineInstance(((x,), (2,)), (3,)),
+    lambda x: DiophantineInstance(((2,),), (x,)),
+    lambda x: hilbert_basis_homogeneous([(x, 1, -2)]),
+    lambda x: AffineSemigroup(2, ((x, 1), (1, 0))),
+    lambda x: scale_into(semigroup([(1, 0), (0, 1)]), (x, 1)),
+    lambda x: ColoredSemigroup(1, ((x,), (3,)), ((0,), (1,))),
+    lambda x: ColoredSemigroup(1, ((2,), (3,)), ((0,), (x,))),
+    lambda x: classify(ColoredSemigroup(1, ((2,), (3,)), ((0,), (1,))),
+                       (x, 0)),
+    lambda x: colored_numerical((2,), (x + 2,)),
+    lambda x: frobenius((2, x + 2)),
+], ids=["cone", "cone_from_inequalities", "instance_columns", "instance_rhs",
+        "hilbert_basis_homogeneous", "affine_semigroup", "scale_into",
+        "colored_columns", "colored_classes", "classify", "colored_numerical",
+        "frobenius"])
+def test_non_integral_entries_raise(build):
+    # integral values of any numeric type are accepted; a non-integral one
+    # is an error, never truncated
+    assert build(1) == build(1.0) == build(Fraction(2, 2))
+    for bad in (Fraction(3, 2), 1.5):
+        with pytest.raises(ValueError, match="non-integral"):
+            build(bad)
 
 
 def test_cone_drops_zero_generators_with_flag():
@@ -400,9 +439,10 @@ def _reference_zero_mask(ray, processed):
 
 @st.composite
 def _row_sets(draw):
-    """Rows in dimension 1-4 with zero rows, duplicates and lines mixed in."""
-    d = draw(st.integers(1, 4))
-    vec = st.tuples(*[st.integers(-6, 6)] * d)
+    """Rows in dimension 1-6 with zero rows, duplicates and lines mixed in;
+    in d >= 5 most states keep some lineality."""
+    d = draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(-1000, 1000)] * d)
     rows = draw(st.lists(vec, max_size=8))
     for kind in draw(st.lists(st.sampled_from(("zero", "duplicate", "line")),
                               max_size=3)):

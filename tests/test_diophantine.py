@@ -21,9 +21,10 @@ from chromatic_semigroups import (
 )
 from chromatic_semigroups import diophantine as dio
 from chromatic_semigroups._hilbert import _parallelepiped_points
-from chromatic_semigroups._linalg import rref
 from chromatic_semigroups import numerical
 from chromatic_semigroups.errors import NotPointedError
+
+from lp_reference import rref
 
 SIX_COIN_COLUMNS = tuple((v,) for v in (9, 16, 11, 14, 12, 13))
 
