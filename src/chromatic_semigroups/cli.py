@@ -344,11 +344,15 @@ def _run_count(doc, args):
 
 def _run_quasipoly(doc, args):
     qp = fit_quasipolynomial(doc.to_numerical(), args.k)
+    # the fit shares equal coefficients, so each distinct object is rendered
+    # once; qp keeps every coefficient alive, so an id names one object
+    distinct = {id(c): c for coeffs in qp.constituents for c in coeffs}
+    text = {key: _frac(c) for key, c in distinct.items()}
     return {
         "k": args.k,
         "period": qp.period,
         "threshold": qp.threshold,
-        "constituents": [[_frac(c) for c in coeffs]
+        "constituents": [list(map(text.__getitem__, map(id, coeffs)))
                          for coeffs in qp.constituents],
     }
 
@@ -485,20 +489,42 @@ _SLICE = 1 << 16  # ints per `str` call in `_dumps`
 
 def _dumps(payload):
     """`json.dumps(payload, indent=2)` byte for byte, as pieces of text.
-    Indenting runs json's pure-Python encoder, so flat int lists (gap sets
-    run to millions) go through `str`, as in `_fmt`, a slice at a time, with
-    the separators indenting puts in."""
+
+    Indenting runs json's pure-Python encoder, so two shapes of value skip
+    it.  A flat int list (gap sets run to millions) goes through `str`, as
+    in `_fmt`, a slice at a time, with the separators indenting puts in.
+    A nonempty list of nonempty flat lists of scalars (quasipoly
+    constituents, vectors) goes through json's C encoder without indent,
+    and its ", " and "], [" become the indenting separators.  That holds
+    only if the text has one ", " per separator and one "[" per list and
+    no "{": a string holding ", ", "[" or "{", a nested list or dict, or an
+    empty inner list breaks a count, and the value takes the indenting
+    encoder."""
     sep = "{"
     for key, val in payload.items():
         yield f"{sep}\n  {json.dumps(key)}: "
         sep = ","
-        if isinstance(val, list) and set(map(type, val)) == {int}:
-            for lo in range(0, len(val), _SLICE):
-                part = str(val[lo:lo + _SLICE])[1:-1].replace(", ", ",\n    ")
-                yield ("," if lo else "[") + "\n    " + part
-            yield "\n  ]"
-        else:
-            yield _INDENTED(val).replace("\n", "\n  ")
+        if isinstance(val, list):
+            types = set(map(type, val))
+            if types == {int}:
+                for lo in range(0, len(val), _SLICE):
+                    part = str(val[lo:lo + _SLICE])[1:-1]
+                    yield (("," if lo else "[") + "\n    "
+                           + part.replace(", ", ",\n    "))
+                yield "\n  ]"
+                continue
+            if types == {list}:
+                text = json.dumps(val)
+                if (text.count(", ") == sum(map(len, val)) - 1
+                        and text.count("[") == len(val) + 1
+                        and "{" not in text):
+                    rows = text[2:-2].split("], [")
+                    yield ("[\n    [\n      "
+                           + "\n    ],\n    [\n      ".join(rows).replace(
+                               ", ", ",\n      ")
+                           + "\n    ]\n  ]")
+                    continue
+        yield _INDENTED(val).replace("\n", "\n  ")
     yield "\n}"
 
 

@@ -515,6 +515,7 @@ def fit_quasipolynomial(s, k):
     power-basis coefficients are integers.  Sample j of every residue is
     one slice of the count table, so both steps run over all residues at
     once, and each coefficient becomes Fraction(numerator, den) last.
+    Equal coefficients are one shared `Fraction` object.
     """
     if not 1 <= k <= s.n_colors:
         raise ValueError(f"k must be between 1 and {s.n_colors}")
@@ -541,8 +542,9 @@ def fit_quasipolynomial(s, k):
                 + [poly[-1]])
     # the lead coefficient is that of D_all, 1 / ((n - 1)! prod(A)) in every
     # residue (each row below k leaves out a class, so has lower degree):
-    # no trailing zeros to strip.  Equal values share one Fraction.
-    fraction = lru_cache(maxsize=None)(lambda c: Fraction(c, den))
-    constituents = [tuple(map(fraction, coeffs)) for coeffs in zip(*poly)]
+    # no trailing zeros to strip
+    uniq = {c: Fraction(c, den) for c in set(chain.from_iterable(poly))}
+    constituents = [tuple(map(uniq.__getitem__, coeffs))
+                    for coeffs in zip(*poly)]
     # r0 = L is residue 0
     return QuasiPolynomial(period, (constituents[-1], *constituents[:-1]), 1)

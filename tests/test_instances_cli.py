@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -16,6 +18,11 @@ from chromatic_semigroups import (
     classify,
     enumerate_solutions,
     parse_instance,
+)
+from chromatic_semigroups.numerical import (
+    QuasiPolynomial,
+    colored_numerical,
+    fit_quasipolynomial,
 )
 import chromatic_semigroups.cli as cli_mod
 from chromatic_semigroups.cli import _SLICE, _dumps, _fmt, main
@@ -377,6 +384,55 @@ def test_json_int_list_spanning_slices_is_json_dumps_indent_2():
                "nested": {"rows": [[1, 2], [3]], "empty": []},
                "value": 7}
     assert "".join(_dumps(payload)) == json.dumps(payload, indent=2)
+
+
+# strings that could pass for the separators or brackets json writes
+ROW_SCALARS = (st.integers() | st.floats() | st.booleans() | st.none()
+               | st.sampled_from([", ", "], [", "[", "{", '"', "å ∑ 𝔽",
+                                  "7/15"]))
+
+
+@given(st.lists(st.lists(ROW_SCALARS)))
+@example([[], [1, "7/15"]])
+@example([[2, "7/15"], [], [-3]])
+@example([[True, None], [0.5], []])
+@example([[1, "], ["], [2]])
+@example([[[1]]])  # not flat: the guards send these to the indenting encoder
+@example([[{"a": 1}]])
+def test_json_rows_are_json_dumps_indent_2(rows):
+    # a list of flat lists goes through json's C encoder and is re-indented
+    payload = {"subcommand": "quasipoly", "constituents": rows, "k": 2}
+    assert "".join(_dumps(payload)) == json.dumps(payload, indent=2)
+
+
+def test_json_rows_skip_the_indenting_encoder():
+    rows = [[1, "7/15", -2.5], [None, True], ["1/3"]]
+    with mock.patch.object(cli_mod, "_INDENTED", side_effect=AssertionError):
+        text = "".join(_dumps({"constituents": rows}))
+    assert text == json.dumps({"constituents": rows}, indent=2)
+
+
+def _quasipoly_report(qp):
+    with mock.patch.object(cli_mod, "fit_quasipolynomial", return_value=qp):
+        return cli_mod._run_quasipoly(
+            SimpleNamespace(to_numerical=lambda: None), SimpleNamespace(k=2))
+
+
+def test_quasipoly_report_renders_every_coefficient():
+    # the report renders each coefficient object once; equal values held
+    # by distinct objects and by one shared object render alike
+    assert Fraction(7, 15) is not Fraction(7, 15)
+    distinct = QuasiPolynomial(2, ((Fraction(7, 15), Fraction(7, 15),
+                                    Fraction(2)),
+                                   (Fraction(-1, 4), Fraction(7, 15))), 1)
+    h = Fraction(7, 15)
+    shared = QuasiPolynomial(2, ((h, h, Fraction(1)), (Fraction(-1, 4), h)),
+                             1)
+    fitted = fit_quasipolynomial(colored_numerical((3,), (5,)), 2)
+    for qp in (distinct, shared, fitted):
+        assert _quasipoly_report(qp)["constituents"] == [
+            [cli_mod._frac(c) for c in row] for row in qp.constituents]
+    assert _quasipoly_report(fitted)["constituents"][8] == ["7/15", "1/15"]
 
 
 @given(st.lists(st.integers() | st.booleans() | st.none()))
