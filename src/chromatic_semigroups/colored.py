@@ -250,9 +250,6 @@ def verify_unique_expressions(n):
         raise ValueError("n > 12 exceeds the intended search budget")
     fam = build_unique_expression_family(n)
     pooled = fam.colored
-    pointed, _ = is_pointed(cone(pooled.columns, 3))
-    if not pointed:
-        raise NotPointedError("family pool unexpectedly spans a line")
     solutions = enumerate_solutions(
         DiophantineInstance(pooled.columns, fam.target))
     expected = []

@@ -177,9 +177,7 @@ def intersect_cones(cones):
     rows = []
     for c in cones:
         rows.extend(dd_convert(c).inequalities)
-    lin, rays = _generator_description(tuple(rows), dim)
-    gens = _canonical_generators(lin, rays)
-    return dd_convert(RationalCone(dim, gens))
+    return cone_from_inequalities(rows, dim)
 
 
 def contains_nonzero(c):

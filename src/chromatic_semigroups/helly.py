@@ -106,9 +106,7 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None):
         max_subsets = DEFAULT_SAMPLED_SUBSETS
 
     sampled = False
-    if size == 0:
-        subsets = [()]
-    elif max_subsets is None or comb(n, size) <= max_subsets:
+    if max_subsets is None or comb(n, size) <= max_subsets:
         subsets = combinations(range(n), size)
     else:
         # only sampled audits use random, and every job is a fresh process

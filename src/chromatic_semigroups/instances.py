@@ -49,9 +49,14 @@ class InstanceDocument:
         if self.dimension != 1:
             raise InstanceValidationError(
                 "numerical subcommands need a dimension-1 document")
+        classes = tuple(tuple(g[0] for g in gens) for _, gens in self.colors)
+        for (name, _), cls in zip(self.colors, classes):
+            # the classes are sets, so a repeat would be merged silently
+            if len(set(cls)) < len(cls):
+                raise InstanceValidationError(
+                    f"color {name!r} lists a generator twice")
         try:
-            return ColoredNumericalSemigroup(
-                tuple(tuple(g[0] for g in gens) for _, gens in self.colors))
+            return ColoredNumericalSemigroup(classes)
         except ValueError as exc:
             raise InstanceValidationError(str(exc)) from exc
 

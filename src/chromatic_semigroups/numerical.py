@@ -364,9 +364,6 @@ def build_reduction_instance(s, k, mode):
         cf_k1 = _chromatic_value(s, k + 1)
         b = max(2 * (cf_k1 - cf_k), 2 * cf_k) + 1
         doubled = tuple((2 * cls[0],) for cls in s.classes)
-        values = {cls[0] for cls in doubled}
-        while b in values:
-            b += 2
         constructed = ColoredNumericalSemigroup(doubled + ((b,),))
         predicted = 2 * cf_k + b
         computed = _chromatic_value(constructed, k + 1)

@@ -14,10 +14,10 @@ from ._linalg import dot, int_vector, is_zero, vec_scale
 from ._record import record
 from .cones import (
     _CACHE_SIZE,
+    RationalCone,
     cone,
     contains_nonzero,
     contains_point,
-    dd_convert,
     intersect_cones,
     is_pointed,
 )
@@ -70,7 +70,7 @@ def semigroup(generators, dimension=None):
 
 def cone_of(s):
     """Associated cone: nonnegative real combinations of the generators."""
-    return cone(s.generators, s.dimension)
+    return RationalCone(s.dimension, s.generators, None, False)
 
 
 def is_pointed_semigroup(s):
@@ -213,20 +213,15 @@ def family_intersection_nontrivial(family):
     point exists and every member is pointed, it is scaled into each member
     and the lcm of the scalings gives a common semigroup element, returned
     as the witness; with a non-pointed member the decision is still exact
-    but the witness is None.
+    but the witness is None.  `intersect_cones` refuses an empty family
+    (ValueError) and mixed dimensions (DimensionMismatchError).
     """
     family = list(family)
-    if not family:
-        raise ValueError("empty family")
-    dim = family[0].dimension
-    for s in family:
-        if s.dimension != dim:
-            raise DimensionMismatchError("family members differ in dimension")
-    inter = intersect_cones([cone_of(s) for s in family])
-    nonzero, ray = contains_nonzero(inter)
+    cones = [cone_of(s) for s in family]
+    nonzero, ray = contains_nonzero(intersect_cones(cones))
     if not nonzero:
         return False, None
-    if not all(is_pointed_semigroup(s) for s in family):
+    if not all(is_pointed(c)[0] for c in cones):
         return True, None
     return True, vec_scale(lcm(*(scale_into(s, ray) for s in family)), ray)
 
@@ -241,9 +236,10 @@ def scale_into(s, p):
     p = int_vector(p)
     if is_zero(p):
         raise PointNotInConeError("the zero vector is excluded")
-    if not contains_point(dd_convert(cone_of(s)), p):
+    c = cone_of(s)
+    if not contains_point(c, p):
         raise PointNotInConeError(f"{p} is not in the cone of the semigroup")
-    if not is_pointed_semigroup(s):
+    if not is_pointed(c)[0]:
         raise NotPointedError("membership search needs a pointed semigroup")
     k = 1
     while k <= _SCALE_CAP:

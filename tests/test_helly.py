@@ -65,6 +65,24 @@ def test_helly_audit_subset_sampling_is_seeded():
     assert r1.sampled and r1.seed == 5
 
 
+def test_helly_audit_samples_large_families_by_default():
+    # 14 members <a> and <-a>, a = 2..8: past 12 members and without
+    # max_subsets, 2,000 of the 3,432 subsets of size 7 are sampled
+    members = tuple(semigroup([(sign * a,)]) for a in range(2, 9)
+                    for sign in (1, -1))
+    fam = SemigroupFamily(members, "general")
+    rep = helly_audit(fam, subset_size=7, seed=5)
+    assert rep.sampled and rep.seed == 5
+    assert rep.note == ("premise checked on a random sample of subsets, "
+                        "not a proof")
+    # a subset holding some <a> and some <-b> shares only 0
+    assert not rep.premise_holds and not rep.conclusion_holds
+    assert len(rep.counterexample_subset) == 7
+    # the one empty subset is not sampled and makes the premise vacuous
+    rep = helly_audit(fam, subset_size=0, seed=5)
+    assert rep.premise_holds and not rep.sampled and rep.note == ""
+
+
 def test_helly_audit_rejects_nonpositive_max_subsets():
     # sampling no subsets would make the premise vacuously true and report
     # a false anomaly on a family whose premise fails

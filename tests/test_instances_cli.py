@@ -600,6 +600,42 @@ def test_read_argv_reads_a_plain_argv():
           "target": ["1,2", "-"]}
 
 
+def test_numerical_subcommands_refuse_a_generator_listed_twice(tmp_path,
+                                                               capsys):
+    # the numerical classes are sets: <3, 3> | <5> would count as <3> | <5>,
+    # while the colored subcommands keep both columns
+    p = tmp_path / "repeat.json"
+    p.write_text(json.dumps({"dimension": 1, "colors": [
+        {"name": "a", "generators": [[3], [3]]},
+        {"name": "b", "generators": [[5]]}]}))
+    for argv in (["count", "--target", "6", "--k", "1"],
+                 ["count", "--target", "11", "--k", "2"],
+                 ["quasipoly", "--k", "1"], ["frobenius"], ["gaps"],
+                 ["chromatic-frobenius", "--k", "1"],
+                 ["reduce", "--k", "2", "--mode", "b"]):
+        code, out, err = run_cli(capsys, *argv, str(p))
+        assert code == 2 and out == "", argv
+        assert err == "error: color 'a' lists a generator twice\n", argv
+    code, out, _ = run_cli(capsys, "solve", "--target", "6", str(p))
+    assert code == 0 and "solution_count: 3" in out
+
+
+def test_helly_audit_exits_3_on_a_false_case_assertion(tmp_path, capsys):
+    # <2> | <-3> covers the line, so the noncover assertion is false: each
+    # member is nontrivial, the full intersection is not
+    p = tmp_path / "cover.json"
+    p.write_text(json.dumps({"dimension": 1, "colors": [
+        {"name": "a", "generators": [[2]]},
+        {"name": "b", "generators": [[-3]]}]}))
+    code, out, err = run_cli(capsys, "helly-audit", "--case", "noncover",
+                             str(p))
+    assert code == 3 and out == ""
+    assert err == ("anomaly: premise held on all size-1 subsets but the "
+                   "full intersection is trivial\n")
+    code, out, _ = run_cli(capsys, "helly-audit", "--case", "cover", str(p))
+    assert code == 0 and "premise_holds: false" in out
+
+
 def test_count_tables_past_the_cap_exit_2(two_color_path, tmp_path, capsys):
     # a failed allocation also exits 2, so the message tells the guard apart
     p = tmp_path / "primes.json"

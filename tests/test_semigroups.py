@@ -27,10 +27,14 @@ from chromatic_semigroups import semigroups as semigroups_mod
 from chromatic_semigroups.numerical import _member_table, frobenius
 from chromatic_semigroups.errors import (
     DimensionMismatchError,
+    NotPointedError,
     PointNotInConeError,
     SemigroupError,
 )
-from chromatic_semigroups.semigroups import intersect_semigroup_family
+from chromatic_semigroups.semigroups import (
+    AffineSemigroup,
+    intersect_semigroup_family,
+)
 
 from conftest import random_pointed_semigroup
 
@@ -108,6 +112,35 @@ def test_family_intersection_examples():
     assert ok and w == (1, 0, 0)
 
 
+def test_family_intersection_refuses_empty_and_mixed_families():
+    # the checks live in intersect_cones, which sees every member's cone
+    with pytest.raises(ValueError):
+        family_intersection_nontrivial([])
+    with pytest.raises(DimensionMismatchError):
+        family_intersection_nontrivial([semigroup([(1,)]),
+                                        semigroup([(1, 0)])])
+    # the zero space holds no nonzero element
+    assert family_intersection_nontrivial(
+        [AffineSemigroup(0, ())]) == (False, None)
+
+
+def test_family_intersection_builds_one_cone_per_member(monkeypatch):
+    built = []
+    real = semigroups_mod.cone_of
+    monkeypatch.setattr(semigroups_mod, "cone_of",
+                        lambda s: built.append(s) or real(s))
+    family = [semigroup([(1, 0), (1, 2)]), semigroup([(1, 1), (0, 1)])]
+    ok, w = family_intersection_nontrivial(family)
+    # one cone per member here, and one more in each member's scale_into
+    assert ok and w == (2, 2)
+    assert built == family * 2
+    built.clear()
+    assert family_intersection_nontrivial(
+        [semigroup([(1, 0), (-1, 0)]), semigroup([(1, 0), (0, 1)])]) == (
+            True, None)
+    assert len(built) == 2
+
+
 def test_scale_into_examples():
     assert scale_into(semigroup([(2,), (3,)]), (1,)) == 2
     assert scale_into(semigroup([(1, 0), (0, 1)]), (1, 1)) == 1
@@ -119,6 +152,12 @@ def test_scale_into_rejects_outside_points():
         scale_into(semigroup([(2, 0), (0, 3)]), (-1, 1))
     with pytest.raises(PointNotInConeError):
         scale_into(semigroup([(2,)]), (0,))
+
+
+def test_scale_into_refuses_a_non_pointed_semigroup():
+    # (1, 0) lies in the cone, but the membership search needs a pointed one
+    with pytest.raises(NotPointedError):
+        scale_into(semigroup([(1, 0), (-1, 0)]), (1, 0))
 
 
 def test_scale_into_cap_raises_package_error(monkeypatch):
