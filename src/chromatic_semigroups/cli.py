@@ -513,7 +513,9 @@ def _dumps(payload):
                            + part.replace(", ", ",\n    "))
                 yield "\n  ]"
                 continue
-            if types == {list}:
+            # a first row that holds a list (cteg's rows) would fail the
+            # counts below, so such a value skips the C encoder
+            if types == {list} and list not in map(type, val[0]):
                 text = json.dumps(val)
                 if (text.count(", ") == sum(map(len, val)) - 1
                         and text.count("[") == len(val) + 1

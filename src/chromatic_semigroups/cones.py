@@ -95,14 +95,22 @@ def dd_convert(c):
     The dual cone of the generators is converted to generator form by the
     double description method; its rays become facet inequalities and its
     lineality directions become paired inequalities.  Idempotent: a cone
-    that already carries inequalities is returned unchanged.
+    that already carries inequalities is returned unchanged.  The rows
+    are cached per (generators, dimension).
     """
     if c.inequalities is not None:
         return c
-    ineqs = checked_inequalities(
-        _generator_description(c.generators, c.dimension), c.generators)
-    return RationalCone(c.dimension, c.generators, ineqs,
+    return RationalCone(c.dimension, c.generators,
+                        _checked_rows(c.generators, c.dimension),
                         c.zero_generators_dropped)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _checked_rows(generators, dim):
+    """`checked_inequalities` of the cone of `generators`, checked once per
+    generator set."""
+    return checked_inequalities(_generator_description(generators, dim),
+                                generators)
 
 
 def checked_inequalities(description, generators):
@@ -241,10 +249,11 @@ def _generator_description(rows, dim):
     extreme rays reduced modulo the lineality; both sorted.  Incremental
     double description with the combinatorial adjacency test; each ray
     carries the bit mask of the inserted rows that vanish on it, updated
-    at each insertion.
+    at each insertion.  Once the cone is {0}, no later row changes it.
     """
     for state in _dd_steps(rows, dim):
-        pass
+        if not any(state):
+            break
     return _canonical_description(*state)
 
 

@@ -10,7 +10,7 @@ assertion is trusted, pointedness is checked.
 from itertools import combinations, product
 from math import comb
 
-from ._linalg import vec_neg
+from ._linalg import dot, vec_neg
 from ._record import record
 from .errors import (
     CaseAssertionError,
@@ -21,6 +21,8 @@ from .errors import (
 )
 from .semigroups import (
     AffineSemigroup,
+    _cones_meet,
+    _coordinates,
     family_intersection_nontrivial,
     is_pointed_semigroup,
     member,
@@ -87,12 +89,13 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None):
 
     All subsets of the given size (default: the case size, clamped to the
     family size) are intersected; the premise holds when every one shares a
-    nonzero element.  A true premise at the case size with a trivial full
-    intersection contradicts the audit contract and raises.  Size-0 subsets
-    make the premise vacuously true.  Beyond 12 members the subsets are
-    sampled pseudo-randomly (`max_subsets` of them, default 2000; it must be
-    positive); the seed is echoed and the report carries a note that the
-    premise was sampled.
+    nonzero element, decided on the cone side alone (`_cones_meet`); only
+    the full family's witness is built.  A true premise at the case size
+    with a trivial full intersection contradicts the audit contract and
+    raises.  Size-0 subsets make the premise vacuously true.  Beyond 12
+    members the subsets are sampled pseudo-randomly (`max_subsets` of them,
+    default 2000; it must be positive); the seed is echoed and the report
+    carries a note that the premise was sampled.
     """
     n = len(family.members)
     case_size = min(family.case_subset_size, n)
@@ -123,9 +126,8 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None):
     for idxs in subsets:
         if not idxs:
             continue
-        ok, _ = family_intersection_nontrivial(
-            [family.members[i] for i in idxs])
-        if not ok:
+        if not _cones_meet([family.members[i].generators for i in idxs],
+                           family.dimension):
             premise = False
             counterexample = idxs
             break
@@ -218,9 +220,9 @@ def colorful_helly_audit(families):
                 raise NotPointedError("every member must be pointed")
     sizes = [range(len(f.members)) for f in families]
     for pick in product(*sizes):
-        transversal = [families[j].members[i] for j, i in enumerate(pick)]
-        ok, _ = family_intersection_nontrivial(transversal)
-        if not ok:
+        transversal = [families[j].members[i].generators
+                       for j, i in enumerate(pick)]
+        if not _cones_meet(transversal, dim):
             return ColorfulHellyReport(False, tuple(pick), -1, ())
     for j, fam in enumerate(families):
         ok, witness = family_intersection_nontrivial(fam.members)
@@ -243,8 +245,9 @@ def tverberg_partition(s, r):
     """Split the generators into r color blocks sharing a semigroup element.
 
     Partitions are scanned as restricted growth strings in lexicographic
-    order; the first block structure whose cones meet nontrivially wins.
-    The common element is a scaled common ray, verified by an explicit
+    order; the first block structure whose cones meet nontrivially wins,
+    decided on the cone side alone (`_cones_meet`).  Only the winner's
+    common element is built: a scaled common ray, verified by an explicit
     representation inside every block.  With fewer than d(r-1)+1 generators
     the search still runs, but a miss raises HypothesisUnmetError instead
     of flagging a contract violation.
@@ -264,14 +267,14 @@ def tverberg_partition(s, r):
         blocks = [[] for _ in range(r)]
         for idx, lab in enumerate(labels):
             blocks[lab].append(idx)
-        block_sgs = [AffineSemigroup(d, tuple(gens[i] for i in blk))
-                     for blk in blocks]
-        nonzero, p = family_intersection_nontrivial(block_sgs)
-        if not nonzero:
+        block_gens = [tuple(gens[i] for i in blk) for blk in blocks]
+        if not _cones_meet(block_gens, d):
             continue
+        block_sgs = [AffineSemigroup(d, b) for b in block_gens]
+        _, p = family_intersection_nontrivial(block_sgs)
         witnesses = []
         for b in block_sgs:
-            found, x = member(b, p)
+            found, x = _block_witness(b, p)
             if not found:
                 raise TheoremContractError(
                     "scaled common ray missed a block semigroup")
@@ -287,6 +290,19 @@ def tverberg_partition(s, r):
             "no partition found although the generator count meets the bound")
     raise HypothesisUnmetError(
         f"no partition found; {k} generators < {d * (r - 1) + 1} required")
+
+
+def _block_witness(b, p):
+    """`member(b, p)`; over independent generators the one solution is
+    read off p's coordinates instead of searched for."""
+    coords = _coordinates(b.generators, b.dimension, p)
+    if coords is None:
+        return member(b, p)
+    x = tuple(num // den for num, den in coords)
+    if all(v >= 0 for v in x) and tuple(
+            dot(row, x) for row in zip(*b.generators)) == tuple(p):
+        return True, x
+    return False, None
 
 
 def _growth_strings(k, r):

@@ -1,13 +1,17 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 from chromatic_semigroups import (
     AffineSemigroup,
     ColoredSemigroup,
     is_pointed_semigroup,
+    semigroup,
 )
+from lp_reference import rref
 
 # property tests draw the same examples on every run, and a slow example on
 # a loaded machine is not a failure
@@ -50,6 +54,23 @@ def random_pointed_semigroup(rng, dim, max_gens, lo=-5, hi=5):
         s = AffineSemigroup(dim, tuple(gens))
         if not s.is_trivial and is_pointed_semigroup(s):
             return s
+
+
+@st.composite
+def independent_cone_points(draw):
+    """A semigroup on linearly independent generators (by the rational rank
+    of the oracle's RREF) in dimension 1-3 and a primitive point of its
+    cone."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, dim))
+    gens = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * dim),
+                         min_size=n, max_size=n, unique=True))
+    assume(len(rref(gens)[0]) == n)
+    coeffs = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    assume(any(coeffs))
+    p = tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(dim))
+    step = gcd(*p)
+    return semigroup(gens), tuple(v // step for v in p)
 
 
 def rng(seed=42):

@@ -505,7 +505,9 @@ def test_plan_suffix_facets_match_dd_convert():
 
 
 def test_dd_convert_rejects_a_wrong_description(monkeypatch):
-    # a generator outside a computed facet can only come from a bug
+    # a generator outside a computed facet can only come from a bug; the
+    # checked rows are cached, so rows cached by earlier tests go first
+    cones_mod._checked_rows.cache_clear()
     real = cones_mod._generator_description
     monkeypatch.setattr(
         cones_mod, "_generator_description",

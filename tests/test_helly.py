@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from chromatic_semigroups import (
     SemigroupFamily,
@@ -17,8 +19,15 @@ from chromatic_semigroups.errors import (
     HypothesisUnmetError,
     NotPointedError,
 )
+from chromatic_semigroups.helly import _block_witness, _growth_strings
+from chromatic_semigroups.semigroups import (
+    AffineSemigroup,
+    family_intersection_nontrivial,
+    is_pointed_semigroup,
+    scale_into,
+)
 
-from conftest import random_pointed_semigroup
+from conftest import independent_cone_points, random_pointed_semigroup
 
 
 def test_case_assertion_checks_pointedness():
@@ -174,6 +183,49 @@ def test_tverberg_witnesses_are_checked():
                 sum(wit[i] * s.generators[b][j] for i, b in enumerate(blk))
                 for j in range(2))
             assert hit == rep.common_element
+
+
+def _tverberg_oracle(s, r):
+    """The first partition in growth-string order whose blocks share a
+    nonzero element by `family_intersection_nontrivial`, that element and
+    the search's witnesses; None when no partition does."""
+    d = s.dimension
+    for labels in _growth_strings(len(s.generators), r):
+        blocks = tuple(tuple(i for i, lab in enumerate(labels) if lab == b)
+                       for b in range(r))
+        sgs = [AffineSemigroup(d, tuple(s.generators[i] for i in blk))
+               for blk in blocks]
+        ok, p = family_intersection_nontrivial(sgs)
+        if ok:
+            return blocks, p, tuple(member(b, p)[1] for b in sgs)
+    return None
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(-2, 5)] * dim), min_size=2, max_size=7)),
+    st.integers(2, 3))
+def test_tverberg_matches_a_scan_through_family_intersections(gens, r):
+    assume(any(any(g) for g in gens))
+    s = semigroup(gens)
+    assume(is_pointed_semigroup(s))
+    want = _tverberg_oracle(s, r)
+    try:
+        rep = tverberg_partition(s, r)
+    except HypothesisUnmetError:
+        assert want is None
+        return
+    assert (rep.partition, rep.common_element, rep.block_witnesses) == want
+
+
+@given(independent_cone_points(), st.integers(1, 4))
+def test_block_witness_is_the_first_search_solution(case, extra):
+    # over independent generators: p's least multiple in the semigroup,
+    # that times `extra`, and one more, which is in it only when k = 1
+    s, p = case
+    k = scale_into(s, p)
+    for q in (k * extra, k * extra + 1):
+        point = tuple(q * v for v in p)
+        assert _block_witness(s, point) == member(s, point)
 
 
 def test_tverberg_rejects_unpointed():

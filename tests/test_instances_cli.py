@@ -636,6 +636,20 @@ def test_helly_audit_exits_3_on_a_false_case_assertion(tmp_path, capsys):
     assert code == 0 and "premise_holds: false" in out
 
 
+def test_helly_audit_scales_independent_members_past_a_million(tmp_path,
+                                                                capsys):
+    # (1, 1) scales into <(1, 0), (1, N)> first at N; both members have
+    # independent generators, so k is read off the cone's rows, where a
+    # search per k refused past 10**6
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps({"dimension": 2, "colors": [
+        {"name": "a", "generators": [[1, 0], [1, 10 ** 6 + 1]]},
+        {"name": "b", "generators": [[1, 1]]}]}))
+    code, out, _ = run_cli(capsys, "helly-audit", "--case", "general",
+                           str(p))
+    assert code == 0 and "witness: [1000001, 1000001]" in out
+
+
 def test_count_tables_past_the_cap_exit_2(two_color_path, tmp_path, capsys):
     # a failed allocation also exits 2, so the message tells the guard apart
     p = tmp_path / "primes.json"

@@ -1,9 +1,10 @@
 import random
 import time
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from chromatic_semigroups import (
@@ -36,7 +37,8 @@ from chromatic_semigroups.semigroups import (
     intersect_semigroup_family,
 )
 
-from conftest import random_pointed_semigroup
+from conftest import independent_cone_points, random_pointed_semigroup
+from lp_reference import rref
 
 
 def closure(generators, dim, max_sum):
@@ -161,10 +163,11 @@ def test_scale_into_refuses_a_non_pointed_semigroup():
 
 
 def test_scale_into_cap_raises_package_error(monkeypatch):
-    # the least k with k*(1, 1) in <(1, 0), (1, 5)> is 5
+    # the least k with k*(1, 1) in <(1, 0), (1, 5), (1, 10)> is 5; the
+    # generators are dependent, so k is scanned for and the cap applies
     monkeypatch.setattr(semigroups_mod, "_SCALE_CAP", 4)
     with pytest.raises(SemigroupError, match="up to 4"):
-        scale_into(semigroup([(1, 0), (1, 5)]), (1, 1))
+        scale_into(semigroup([(1, 0), (1, 5), (1, 10)]), (1, 1))
 
 
 def test_scale_into_returns_minimal_k():
@@ -177,6 +180,29 @@ def test_scale_into_returns_minimal_k():
         assert member(s, tuple(k * c for c in p))[0]
         for smaller in range(1, k):
             assert not member(s, tuple(smaller * c for c in p))[0]
+
+
+@given(independent_cone_points())
+def test_closed_form_scaling_matches_the_scan(case):
+    s, p = case
+    assert semigroups_mod._coordinates(s.generators, s.dimension,
+                                       p) is not None
+    assert scale_into(s, p) == semigroups_mod._scale_scan(s, p)
+
+
+@given(st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=4)))
+def test_coordinates_exist_exactly_over_independent_generators(gens):
+    assume(any(any(g) for g in gens))
+    s = semigroup(gens)
+    got = semigroups_mod._coordinates(s.generators, s.dimension,
+                                      s.generators[0])
+    independent = len(rref(s.generators)[0]) == len(s.generators)
+    assert (got is not None) == independent
+    if independent:
+        # the first generator's coordinates are the first unit vector
+        assert [Fraction(num, den) for num, den in got] == (
+            [1] + [0] * (len(got) - 1))
 
 
 def test_intersection_matches_bruteforce_random():
