@@ -182,10 +182,50 @@ def intersect_cones(cones):
     for c in cones:
         if c.dimension != dim:
             raise DimensionMismatchError("cones live in different dimensions")
-    rows = []
-    for c in cones:
-        rows.extend(dd_convert(c).inequalities)
-    return cone_from_inequalities(rows, dim)
+    return cone_from_inequalities(
+        _stacked_rows(dd_convert(c).inequalities for c in cones), dim)
+
+
+def cones_meet(generator_sets, dim):
+    """Whether the cones of a nonempty family of generator tuples in R^dim
+    share a nonzero point.
+
+    The decision of `intersect_cones` followed by `contains_nonzero`,
+    without building the intersection: the sets' cached rows are stacked
+    as `intersect_cones` stacks them, and the intersection is {0} exactly
+    when their double description has neither lineality nor rays.
+    """
+    lin, rays = _generator_description(
+        _stacked_rows(_checked_rows(g, dim) for g in generator_sets), dim)
+    return bool(lin or rays)
+
+
+def _stacked_rows(row_sets):
+    """The inequality rows of several cones in one tuple; the cone they cut
+    out is the cones' intersection."""
+    return tuple(row for rows in row_sets for row in rows)
+
+
+def simplicial_coordinates(gens, dim, p):
+    """The coordinates of a point p of the cone over distinct nonzero
+    generators, as (numerator, denominator) pairs in generator order with
+    positive denominators, if the generators are linearly independent;
+    None otherwise.
+
+    The lineality of the dual description is the orthogonal complement of
+    the generators' span, so they are independent exactly when they number
+    dim minus its size.  The cone is then simplicial: each facet row m
+    vanishes on every generator but one, g, and p's coordinate on g is
+    m . p / m . g.
+    """
+    lin, rays = _generator_description(gens, dim)
+    if len(gens) != dim - len(lin):
+        return None
+    coords = [None] * len(gens)
+    for m in rays:
+        i = next(i for i, g in enumerate(gens) if dot(m, g))
+        coords[i] = (dot(m, p), dot(m, gens[i]))
+    return coords
 
 
 def contains_nonzero(c):

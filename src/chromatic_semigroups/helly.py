@@ -12,6 +12,7 @@ from math import comb
 
 from ._linalg import dot, vec_neg
 from ._record import record
+from .cones import cones_meet, simplicial_coordinates
 from .errors import (
     CaseAssertionError,
     DimensionMismatchError,
@@ -21,8 +22,6 @@ from .errors import (
 )
 from .semigroups import (
     AffineSemigroup,
-    _cones_meet,
-    _coordinates,
     family_intersection_nontrivial,
     is_pointed_semigroup,
     member,
@@ -89,7 +88,7 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None):
 
     All subsets of the given size (default: the case size, clamped to the
     family size) are intersected; the premise holds when every one shares a
-    nonzero element, decided on the cone side alone (`_cones_meet`); only
+    nonzero element, decided on the cone side alone (`cones_meet`); only
     the full family's witness is built.  A true premise at the case size
     with a trivial full intersection contradicts the audit contract and
     raises.  Size-0 subsets make the premise vacuously true.  Beyond 12
@@ -126,8 +125,8 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None):
     for idxs in subsets:
         if not idxs:
             continue
-        if not _cones_meet([family.members[i].generators for i in idxs],
-                           family.dimension):
+        if not cones_meet([family.members[i].generators for i in idxs],
+                          family.dimension):
             premise = False
             counterexample = idxs
             break
@@ -222,7 +221,7 @@ def colorful_helly_audit(families):
     for pick in product(*sizes):
         transversal = [families[j].members[i].generators
                        for j, i in enumerate(pick)]
-        if not _cones_meet(transversal, dim):
+        if not cones_meet(transversal, dim):
             return ColorfulHellyReport(False, tuple(pick), -1, ())
     for j, fam in enumerate(families):
         ok, witness = family_intersection_nontrivial(fam.members)
@@ -246,7 +245,7 @@ def tverberg_partition(s, r):
 
     Partitions are scanned as restricted growth strings in lexicographic
     order; the first block structure whose cones meet nontrivially wins,
-    decided on the cone side alone (`_cones_meet`).  Only the winner's
+    decided on the cone side alone (`cones_meet`).  Only the winner's
     common element is built: a scaled common ray, verified by an explicit
     representation inside every block.  With fewer than d(r-1)+1 generators
     the search still runs, but a miss raises HypothesisUnmetError instead
@@ -268,7 +267,7 @@ def tverberg_partition(s, r):
         for idx, lab in enumerate(labels):
             blocks[lab].append(idx)
         block_gens = [tuple(gens[i] for i in blk) for blk in blocks]
-        if not _cones_meet(block_gens, d):
+        if not cones_meet(block_gens, d):
             continue
         block_sgs = [AffineSemigroup(d, b) for b in block_gens]
         _, p = family_intersection_nontrivial(block_sgs)
@@ -293,9 +292,9 @@ def tverberg_partition(s, r):
 
 
 def _block_witness(b, p):
-    """`member(b, p)`; over independent generators the one solution is
-    read off p's coordinates instead of searched for."""
-    coords = _coordinates(b.generators, b.dimension, p)
+    """`member(b, p)`; over independent generators its one solution is read
+    off p's coordinates instead of searched for, and checked."""
+    coords = simplicial_coordinates(b.generators, b.dimension, p)
     if coords is None:
         return member(b, p)
     x = tuple(num // den for num, den in coords)

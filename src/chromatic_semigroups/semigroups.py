@@ -15,13 +15,12 @@ from ._record import record
 from .cones import (
     _CACHE_SIZE,
     RationalCone,
-    _checked_rows,
-    _generator_description,
     cone,
     contains_nonzero,
     contains_point,
     intersect_cones,
     is_pointed,
+    simplicial_coordinates,
 )
 from .diophantine import DiophantineInstance, hilbert_basis_homogeneous, is_member
 from .errors import (
@@ -217,7 +216,7 @@ def family_intersection_nontrivial(family):
     as the witness; with a non-pointed member the decision is still exact
     but the witness is None.  `intersect_cones` refuses an empty family
     (ValueError) and mixed dimensions (DimensionMismatchError).  A caller
-    that needs only the decision asks `_cones_meet`.
+    that needs only the decision asks `cones.cones_meet`.
     """
     family = list(family)
     cones = [cone_of(s) for s in family]
@@ -229,29 +228,15 @@ def family_intersection_nontrivial(family):
     return True, vec_scale(lcm(*(scale_into(s, ray) for s in family)), ray)
 
 
-def _cones_meet(blocks, dim):
-    """Whether the cones of the generator tuples `blocks` share a nonzero
-    point.
-
-    The decision of `family_intersection_nontrivial` without its witness:
-    the blocks' cached rows are stacked, as `intersect_cones` stacks them,
-    and the intersection is {0} exactly when their double description has
-    neither lineality nor rays.
-    """
-    rows = tuple(row for gens in blocks for row in _checked_rows(gens, dim))
-    lin, rays = _generator_description(rows, dim)
-    return bool(lin or rays)
-
-
 def scale_into(s, p):
     """Smallest k >= 1 with k*p in the semigroup.
 
     `p` must be a nonzero integer point of the associated cone; existence of
     k is guaranteed for such points.  Over linearly independent generators
     p has one coordinate vector, so k is the lcm of its denominators, read
-    off the cone's rows with no cap (`_coordinates`).  Otherwise k = 1, 2,
-    ... is tried by membership search, which requires the semigroup to be
-    pointed, up to 10**6.
+    off the cone's rows with no cap (`cones.simplicial_coordinates`).
+    Otherwise k = 1, 2, ... is tried by membership search, which requires
+    the semigroup to be pointed, up to 10**6.
     """
     p = int_vector(p)
     if is_zero(p):
@@ -259,7 +244,7 @@ def scale_into(s, p):
     c = cone_of(s)
     if not contains_point(c, p):
         raise PointNotInConeError(f"{p} is not in the cone of the semigroup")
-    coords = _coordinates(s.generators, s.dimension, p)
+    coords = simplicial_coordinates(s.generators, s.dimension, p)
     if coords is not None:
         return lcm(*(den // gcd(num, den) for num, den in coords))
     if not is_pointed(c)[0]:
@@ -274,24 +259,3 @@ def _scale_scan(s, p):
             return k
     raise SemigroupError(f"no multiple of {p} found up to {_SCALE_CAP}")
 
-
-def _coordinates(gens, dim, p):
-    """The coordinates of a point p of the cone over distinct nonzero
-    generators, as (numerator, denominator) pairs in generator order with
-    positive denominators, if the generators are linearly independent;
-    None otherwise.
-
-    The lineality of the dual description is the orthogonal complement of
-    the generators' span, so they are independent exactly when they number
-    dim minus its size.  The cone is then simplicial: each facet row m
-    vanishes on every generator but one, g, and p's coordinate on g is
-    m . p / m . g.
-    """
-    lin, rays = _generator_description(gens, dim)
-    if len(gens) != dim - len(lin):
-        return None
-    coords = [None] * len(gens)
-    for m in rays:
-        i = next(i for i, g in enumerate(gens) if dot(m, g))
-        coords[i] = (dot(m, p), dot(m, gens[i]))
-    return coords

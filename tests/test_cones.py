@@ -334,6 +334,16 @@ def test_contains_nonzero_monotone_under_intersection():
             prev = cur
 
 
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(st.lists(
+    st.tuples(*[st.integers(-3, 3)] * m), min_size=1, max_size=3),
+    min_size=1, max_size=3).map(lambda sets: (sets, m))))
+def test_cones_meet_is_the_intersections_decision(case):
+    sets, m = case
+    cs = [cone(g, m) for g in sets]
+    assert cones_mod.cones_meet([c.generators for c in cs], m) == (
+        contains_nonzero(intersect_cones(cs))[0])
+
+
 def test_intersection_commutative_associative():
     rng = random.Random(11)
     for _ in range(20):

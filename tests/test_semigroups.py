@@ -185,8 +185,8 @@ def test_scale_into_returns_minimal_k():
 @given(independent_cone_points())
 def test_closed_form_scaling_matches_the_scan(case):
     s, p = case
-    assert semigroups_mod._coordinates(s.generators, s.dimension,
-                                       p) is not None
+    assert cones_mod.simplicial_coordinates(
+        s.generators, s.dimension, p) is not None
     assert scale_into(s, p) == semigroups_mod._scale_scan(s, p)
 
 
@@ -195,8 +195,8 @@ def test_closed_form_scaling_matches_the_scan(case):
 def test_coordinates_exist_exactly_over_independent_generators(gens):
     assume(any(any(g) for g in gens))
     s = semigroup(gens)
-    got = semigroups_mod._coordinates(s.generators, s.dimension,
-                                      s.generators[0])
+    got = cones_mod.simplicial_coordinates(
+        s.generators, s.dimension, s.generators[0])
     independent = len(rref(s.generators)[0]) == len(s.generators)
     assert (got is not None) == independent
     if independent:
