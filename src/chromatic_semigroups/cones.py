@@ -36,17 +36,21 @@ _CACHE_SIZE = 1024
 
 @record
 class RationalCone:
-    """Finitely generated rational cone with an optional cached H-description.
+    """Finitely generated rational cone.
 
-    `generators` spans the cone as nonnegative real combinations;
-    `inequalities`, when present, is a minimal canonically ordered list of
-    integer rows M with cone == {x : M x >= 0}.
+    `generators` spans the cone as nonnegative real combinations.
+    `inequalities` is a minimal canonically ordered list of integer rows M
+    with cone == {x : M x >= 0}; it is not a field but read off the double
+    description, checked and cached per (generators, dimension).
     """
 
     dimension: int
     generators: tuple
-    inequalities: tuple = None
     zero_generators_dropped: bool = False
+
+    @property
+    def inequalities(self):
+        return _checked_rows(self.generators, self.dimension)
 
 
 def cone(generators, dimension=None):
@@ -75,7 +79,7 @@ def cone(generators, dimension=None):
             continue
         seen.add(g)
         out.append(g)
-    return RationalCone(dimension, tuple(out), None, dropped)
+    return RationalCone(dimension, tuple(out), dropped)
 
 
 def cone_from_inequalities(rows, dimension):
@@ -85,24 +89,20 @@ def cone_from_inequalities(rows, dimension):
         if len(r) != dimension:
             raise DimensionMismatchError(f"row {r} does not have dimension {dimension}")
     lin, rays = _generator_description(rows, dimension)
-    gens = _canonical_generators(lin, rays)
-    return dd_convert(RationalCone(dimension, gens))
+    return RationalCone(dimension, _canonical_generators(lin, rays), False)
 
 
 def dd_convert(c):
-    """Populate (and canonicalize) the inequality description of a cone.
+    """The cone itself, once its inequality description is built.
 
     The dual cone of the generators is converted to generator form by the
     double description method; its rays become facet inequalities and its
-    lineality directions become paired inequalities.  Idempotent: a cone
-    that already carries inequalities is returned unchanged.  The rows
-    are cached per (generators, dimension).
+    lineality directions become paired inequalities.  A generator that
+    violates one raises TheoremContractError.  The rows are cached per
+    (generators, dimension), where `c.inequalities` reads them.
     """
-    if c.inequalities is not None:
-        return c
-    return RationalCone(c.dimension, c.generators,
-                        _checked_rows(c.generators, c.dimension),
-                        c.zero_generators_dropped)
+    _checked_rows(c.generators, c.dimension)
+    return c
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -136,13 +136,14 @@ def ray_description(c):
     and keep their cone-membership direction; both lists are
     lexicographically sorted.
     """
-    c = dd_convert(c)
     return _generator_description(c.inequalities, c.dimension)
 
 
 def contains_point(c, point):
     """Exact membership of a rational point via the H-description."""
-    c = dd_convert(c)
+    if len(point) != c.dimension:
+        raise DimensionMismatchError(
+            f"point {tuple(point)} does not have dimension {c.dimension}")
     return all(dot(row, point) >= 0 for row in c.inequalities)
 
 
@@ -172,8 +173,8 @@ def intersect_cones(cones):
     """Intersect a nonempty family of cones in one ambient dimension.
 
     The result carries canonical generators (primitive extreme rays plus
-    paired lineality directions, lexicographically sorted) and a minimal
-    inequality description.
+    paired lineality directions, lexicographically sorted); its rows are
+    built only when read.
     """
     cones = list(cones)
     if not cones:
@@ -183,7 +184,7 @@ def intersect_cones(cones):
         if c.dimension != dim:
             raise DimensionMismatchError("cones live in different dimensions")
     return cone_from_inequalities(
-        _stacked_rows(dd_convert(c).inequalities for c in cones), dim)
+        _stacked_rows(c.inequalities for c in cones), dim)
 
 
 def cones_meet(generator_sets, dim):

@@ -10,9 +10,9 @@ assertion is trusted, pointedness is checked.
 from itertools import combinations, product
 from math import comb
 
-from ._linalg import dot, vec_neg
+from ._linalg import vec_neg
 from ._record import record
-from .cones import cones_meet, simplicial_coordinates
+from .cones import cones_meet
 from .errors import (
     CaseAssertionError,
     DimensionMismatchError,
@@ -273,7 +273,7 @@ def tverberg_partition(s, r):
         _, p = family_intersection_nontrivial(block_sgs)
         witnesses = []
         for b in block_sgs:
-            found, x = _block_witness(b, p)
+            found, x = member(b, p)
             if not found:
                 raise TheoremContractError(
                     "scaled common ray missed a block semigroup")
@@ -289,19 +289,6 @@ def tverberg_partition(s, r):
             "no partition found although the generator count meets the bound")
     raise HypothesisUnmetError(
         f"no partition found; {k} generators < {d * (r - 1) + 1} required")
-
-
-def _block_witness(b, p):
-    """`member(b, p)`; over independent generators its one solution is read
-    off p's coordinates instead of searched for, and checked."""
-    coords = simplicial_coordinates(b.generators, b.dimension, p)
-    if coords is None:
-        return member(b, p)
-    x = tuple(num // den for num, den in coords)
-    if all(v >= 0 for v in x) and tuple(
-            dot(row, x) for row in zip(*b.generators)) == tuple(p):
-        return True, x
-    return False, None
 
 
 def _growth_strings(k, r):

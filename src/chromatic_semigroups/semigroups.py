@@ -23,12 +23,7 @@ from .cones import (
     simplicial_coordinates,
 )
 from .diophantine import DiophantineInstance, hilbert_basis_homogeneous, is_member
-from .errors import (
-    DimensionMismatchError,
-    NotPointedError,
-    PointNotInConeError,
-    SemigroupError,
-)
+from .errors import DimensionMismatchError, PointNotInConeError, SemigroupError
 from .numerical import _member_table, frobenius
 
 _SCALE_CAP = 10 ** 6
@@ -71,7 +66,7 @@ def semigroup(generators, dimension=None):
 
 def cone_of(s):
     """Associated cone: nonnegative real combinations of the generators."""
-    return RationalCone(s.dimension, s.generators, None, False)
+    return RationalCone(s.dimension, s.generators, False)
 
 
 def is_pointed_semigroup(s):
@@ -79,8 +74,22 @@ def is_pointed_semigroup(s):
 
 
 def member(s, b):
-    """(flag, solution vector over s.generators); requires pointedness."""
-    return is_member(DiophantineInstance(s.generators, tuple(b)))
+    """(flag, solution vector over s.generators); requires pointedness.
+
+    Over linearly independent generators the one solution is b's
+    coordinate vector (`cones.simplicial_coordinates`), read off and
+    checked; otherwise it is the membership search's first.
+    """
+    inst = DiophantineInstance(s.generators, b)
+    cols, rhs = inst.columns, inst.rhs
+    coords = simplicial_coordinates(cols, len(rhs), rhs)
+    if coords is None:
+        return is_member(inst)
+    x = tuple(num // den for num, den in coords)
+    if all(v >= 0 for v in x) and rhs == tuple(
+            sum(v * g[j] for v, g in zip(x, cols)) for j in range(len(rhs))):
+        return True, x
+    return False, None
 
 
 def intersect_semigroups(s1, s2):
@@ -236,26 +245,23 @@ def scale_into(s, p):
     p has one coordinate vector, so k is the lcm of its denominators, read
     off the cone's rows with no cap (`cones.simplicial_coordinates`).
     Otherwise k = 1, 2, ... is tried by membership search, which requires
-    the semigroup to be pointed, up to 10**6.
+    the semigroup to be pointed (NotPointedError), up to 10**6.
     """
     p = int_vector(p)
     if is_zero(p):
         raise PointNotInConeError("the zero vector is excluded")
-    c = cone_of(s)
-    if not contains_point(c, p):
+    if not contains_point(cone_of(s), p):
         raise PointNotInConeError(f"{p} is not in the cone of the semigroup")
     coords = simplicial_coordinates(s.generators, s.dimension, p)
     if coords is not None:
         return lcm(*(den // gcd(num, den) for num, den in coords))
-    if not is_pointed(c)[0]:
-        raise NotPointedError("membership search needs a pointed semigroup")
     return _scale_scan(s, p)
 
 
 def _scale_scan(s, p):
     """The least k up to `_SCALE_CAP` with k*p in s, one search per k."""
     for k in range(1, _SCALE_CAP + 1):
-        if member(s, vec_scale(k, p))[0]:
+        if is_member(DiophantineInstance(s.generators, vec_scale(k, p)))[0]:
             return k
     raise SemigroupError(f"no multiple of {p} found up to {_SCALE_CAP}")
 

@@ -104,6 +104,14 @@ def test_dd_trivial_cone_pins_origin():
         assert not contains_point(c, p)
 
 
+def test_dd_convert_returns_the_cone():
+    # the rows are no field of the cone: they are read from one cache
+    for gens in ([(1, 0), (1, 2)], [(1, 1)], [(2, 1), (1, 3), (1, 1)]):
+        c = cone(gens)
+        assert dd_convert(c) is c
+        assert cone(gens) == dd_convert(cone(gens))
+
+
 def test_dd_idempotent_roundtrip():
     c = dd_convert(cone([(2, 1), (1, 3), (1, 1)]))
     lin, rays = ray_description(c)
@@ -153,6 +161,9 @@ def test_intersect_opposite_rays_is_trivial():
 def test_intersect_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         intersect_cones([cone([(1,)], 1), cone([(1, 0)], 2)])
+    # a point of the wrong length is refused, not truncated
+    with pytest.raises(DimensionMismatchError):
+        contains_point(cone([(1, 0), (0, 1)]), (1, 1, -7))
 
 
 def test_contains_nonzero_ray_and_trivial():

@@ -5,10 +5,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from chromatic_semigroups import (
+    DiophantineInstance,
     SemigroupFamily,
     build_sharpness_family,
     colorful_helly_audit,
     helly_audit,
+    is_member,
     member,
     semigroup,
     tverberg_partition,
@@ -19,7 +21,7 @@ from chromatic_semigroups.errors import (
     HypothesisUnmetError,
     NotPointedError,
 )
-from chromatic_semigroups.helly import _block_witness, _growth_strings
+from chromatic_semigroups.helly import _growth_strings
 from chromatic_semigroups.semigroups import (
     AffineSemigroup,
     family_intersection_nontrivial,
@@ -197,7 +199,9 @@ def _tverberg_oracle(s, r):
                for blk in blocks]
         ok, p = family_intersection_nontrivial(sgs)
         if ok:
-            return blocks, p, tuple(member(b, p)[1] for b in sgs)
+            return blocks, p, tuple(
+                is_member(DiophantineInstance(b.generators, p))[1]
+                for b in sgs)
     return None
 
 
@@ -225,7 +229,8 @@ def test_block_witness_is_the_first_search_solution(case, extra):
     k = scale_into(s, p)
     for q in (k * extra, k * extra + 1):
         point = tuple(q * v for v in p)
-        assert _block_witness(s, point) == member(s, point)
+        assert member(s, point) == is_member(
+            DiophantineInstance(s.generators, point))
 
 
 def test_tverberg_rejects_unpointed():

@@ -143,6 +143,37 @@ def test_family_intersection_builds_one_cone_per_member(monkeypatch):
     assert len(built) == 2
 
 
+def test_family_intersection_builds_rows_for_its_members_only():
+    # the intersection's own rows are never read, so never built
+    cones_mod._checked_rows.cache_clear()
+    family = [semigroup([(1, 0), (1, 2)]), semigroup([(1, 1), (0, 1)]),
+              semigroup([(2, 1), (1, 3), (1, 1)])]
+    ok, w = family_intersection_nontrivial(family)
+    assert ok and w is not None
+    assert cones_mod._checked_rows.cache_info().misses == len(family)
+
+
+def test_member_reads_off_independent_generators():
+    # each case is on independent generators, where the read-off answers
+    cases = [
+        (semigroup([(1, 0), (0, 1)]), (-1, 2)),  # outside the cone
+        (semigroup([(2, 0), (0, 3)]), (1, 3)),  # a non-integral coordinate
+        (semigroup([(1, 0, 0), (0, 1, 0)]), (1, 1, 1)),  # outside the span
+        (semigroup([(1, 0, 0), (0, 1, 0)]), (2, 3, 0)),
+    ]
+    for s, b in cases:
+        assert cones_mod.simplicial_coordinates(
+            s.generators, s.dimension, b) is not None
+        assert member(s, b) == is_member(DiophantineInstance(s.generators, b))
+    assert member(semigroup([(1, 0, 0), (0, 1, 0)]), (1, 1, 1)) == (
+        False, None)
+    # the solution is over the sorted generators (0, 1, 0), (1, 0, 0)
+    assert member(semigroup([(1, 0, 0), (0, 1, 0)]), (2, 3, 0)) == (
+        True, (3, 2))
+    with pytest.raises(ValueError):
+        member(semigroup([(1, 0), (0, 1)]), (1, 1, 1))
+
+
 def test_scale_into_examples():
     assert scale_into(semigroup([(2,), (3,)]), (1,)) == 2
     assert scale_into(semigroup([(1, 0), (0, 1)]), (1, 1)) == 1
@@ -154,6 +185,9 @@ def test_scale_into_rejects_outside_points():
         scale_into(semigroup([(2, 0), (0, 3)]), (-1, 1))
     with pytest.raises(PointNotInConeError):
         scale_into(semigroup([(2,)]), (0,))
+    # a point of the wrong length is refused, not truncated
+    with pytest.raises(DimensionMismatchError):
+        scale_into(semigroup([(1, 0), (0, 1)]), (1, 1, 5))
 
 
 def test_scale_into_refuses_a_non_pointed_semigroup():
@@ -177,9 +211,11 @@ def test_scale_into_returns_minimal_k():
         # pick a cone point: sum of two generators scaled down when possible
         p = s.generators[0]
         k = scale_into(s, p)
-        assert member(s, tuple(k * c for c in p))[0]
+        assert is_member(DiophantineInstance(
+            s.generators, tuple(k * c for c in p)))[0]
         for smaller in range(1, k):
-            assert not member(s, tuple(smaller * c for c in p))[0]
+            assert not is_member(DiophantineInstance(
+                s.generators, tuple(smaller * c for c in p)))[0]
 
 
 @given(independent_cone_points())
