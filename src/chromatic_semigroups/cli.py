@@ -42,7 +42,8 @@ from .errors import (
     SemigroupError,
     TheoremContractError,
 )
-from .helly import SemigroupFamily, helly_audit, tverberg_partition
+from .helly import (
+    DEFAULT_SAMPLED_SUBSETS, SemigroupFamily, helly_audit, tverberg_partition)
 from .instances import parse_instance
 from .numerical import (
     build_reduction_instance,
@@ -431,7 +432,7 @@ _SUBCOMMANDS = {
                         help="case assertion for the family")),
         ("--subset-size", dict(type=int, default=None)),
         ("--seed", dict(type=int, default=None)),
-        ("--max-subsets", dict(type=int, default=None)))),
+        ("--max-subsets", dict(type=int, default=DEFAULT_SAMPLED_SUBSETS)))),
     "tverberg": _Subcommand(
         _run_tverberg, "partition generators into blocks sharing an element", (
             ("--r", dict(type=int, required=True, help="number of blocks")),)),

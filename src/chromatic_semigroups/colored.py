@@ -11,7 +11,7 @@ every dimension.
 
 from itertools import combinations_with_replacement
 
-from ._linalg import int_vector, is_zero, vec_add
+from ._linalg import int_vector, is_zero
 from ._record import record
 from .cones import cone, is_pointed
 from .diophantine import (
@@ -178,10 +178,7 @@ def caratheodory_exceptions(s):
     candidates = set()
     for size in range(1, ell):
         for combo in combinations_with_replacement(gens, size):
-            total = combo[0]
-            for g in combo[1:]:
-                total = vec_add(total, g)
-            candidates.add(total)
+            candidates.add(tuple(map(sum, zip(*combo))))
     candidates = sorted(candidates)
     exceptions = []
     for b in candidates:

@@ -208,17 +208,22 @@ def _stacked_rows(row_sets):
 
 
 def simplicial_coordinates(gens, dim, p):
-    """The coordinates of a point p of the cone over distinct nonzero
-    generators, as (numerator, denominator) pairs in generator order with
-    positive denominators, if the generators are linearly independent;
-    None otherwise.
+    """The coordinates of a point p of the cone of the generators, as
+    (numerator, denominator) pairs in generator order with positive
+    denominators, if the generators are linearly independent; None
+    otherwise.
 
-    The lineality of the dual description is the orthogonal complement of
-    the generators' span, so they are independent exactly when they number
-    dim minus its size.  The cone is then simplicial: each facet row m
+    Independent generators are distinct and number at most dim, so other
+    lists are refused before a double description (one with a repeat
+    would get its own, apart from its distinct members').  The lineality
+    of the dual description is the orthogonal complement of the
+    generators' span, so they are independent exactly when they number dim
+    minus its size.  The cone is then simplicial: each facet row m
     vanishes on every generator but one, g, and p's coordinate on g is
     m . p / m . g.
     """
+    if len(gens) > dim or len(set(gens)) < len(gens):
+        return None
     lin, rays = _generator_description(gens, dim)
     if len(gens) != dim - len(lin):
         return None

@@ -19,7 +19,8 @@ from math import inf
 from ._linalg import dot, int_vector, is_zero
 from ._record import record
 from .cones import (
-    _CACHE_SIZE, checked_inequalities, cone, is_pointed, suffix_descriptions)
+    _CACHE_SIZE, _checked_rows, checked_inequalities, cone, is_pointed,
+    simplicial_coordinates, suffix_descriptions)
 from .errors import NotPointedError
 from .numerical import (
     _COUNT_CAP, _MODULUS_CAP, _denumerants, _residue_minima, _start_table)
@@ -73,15 +74,24 @@ def iter_solutions(inst):
 
 
 def is_member(inst):
-    """(flag, witness solution or None).
+    """(flag, witness solution or None): the first solution that
+    `iter_solutions` yields.
 
-    The witness is the first solution of the depth-first search, so it
-    matches the first one `iter_solutions` yields; residual states already
-    shown dead are skipped, which keeps membership fast on targets whose
-    enumeration tree is enormous.
+    Over linearly independent columns it is the only one, b's coordinate
+    vector (`cones.simplicial_coordinates`), read off and checked.
+    Otherwise the search skips residual states already shown dead, which
+    keeps membership fast on targets whose enumeration tree is enormous.
     """
-    for sol in _search(inst):
-        return True, sol
+    cols, rhs = inst.columns, inst.rhs
+    coords = simplicial_coordinates(cols, len(rhs), rhs)
+    if coords is None:
+        for sol in _search(inst):
+            return True, sol
+        return False, None
+    x = tuple(num // den for num, den in coords)
+    if all(v >= 0 for v in x) and rhs == tuple(
+            sum(v * g[j] for v, g in zip(x, cols)) for j in range(len(rhs))):
+        return True, x
     return False, None
 
 
@@ -111,18 +121,19 @@ def _plan_cached(cols, d):
     # cone of every suffix stays small
     order = sorted(range(n), key=lambda i: (-dot(w, cols[i]), i))
     ocols = [cols[i] for i in order]
-    # the cone of each suffix, all from one reverse double description
-    # pass; a residual outside it can never be completed.  Each suffix's
-    # rows are checked against its columns: a wrong one raises
-    # TheoremContractError
-    descs = suffix_descriptions(ocols, d)
-    rows = [checked_inequalities(descs[k], ocols[k:]) for k in range(n)]
+    # a residual outside the cone of the columns after column k can never
+    # be completed.  These cones come from one reverse double description
+    # pass, their rows checked (TheoremContractError); the full cone's are
+    # the rows cached for the distinct columns, whose description gave w
+    descs = suffix_descriptions(ocols[1:], d)
+    for k in range(n - 1):
+        checked_inequalities(descs[k], ocols[k + 1:])
     # column k is weighed against the cone of the columns after it.  A row
     # that the column leaves unchanged holds on the cone of columns k..,
     # where the residual already lies, so only the rows it moves are kept.
     steps = [(col, dot(w, col), _moved(lin, col), _moved(rays, col))
-             for col, (lin, rays) in zip(ocols, descs[1:])]
-    return order, w, rows[0], steps
+             for col, (lin, rays) in zip(ocols, descs)]
+    return order, w, _checked_rows(tuple(dict.fromkeys(cols)), d), steps
 
 
 def _moved(rows, col):

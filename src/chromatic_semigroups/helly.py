@@ -27,7 +27,6 @@ from .semigroups import (
     member,
 )
 
-FULL_AUDIT_LIMIT = 12
 DEFAULT_SAMPLED_SUBSETS = 2000
 
 
@@ -83,7 +82,8 @@ class HellyAuditReport:
     note: str = ""
 
 
-def helly_audit(family, subset_size=None, seed=None, max_subsets=None):
+def helly_audit(family, subset_size=None, seed=None,
+                max_subsets=DEFAULT_SAMPLED_SUBSETS):
     """Test the subset premise against the full-family conclusion.
 
     All subsets of the given size (default: the case size, clamped to the
@@ -91,24 +91,22 @@ def helly_audit(family, subset_size=None, seed=None, max_subsets=None):
     nonzero element, decided on the cone side alone (`cones_meet`); only
     the full family's witness is built.  A true premise at the case size
     with a trivial full intersection contradicts the audit contract and
-    raises.  Size-0 subsets make the premise vacuously true.  Beyond 12
-    members the subsets are sampled pseudo-randomly (`max_subsets` of them,
-    default 2000; it must be positive); the seed is echoed and the report
-    carries a note that the premise was sampled.
+    raises.  Size-0 subsets make the premise vacuously true.  Past
+    `max_subsets` subsets (positive; 2000 exceed the 924 of any size from
+    12 members) that many are sampled pseudo-randomly, the seed is echoed
+    and the report notes that the premise was sampled.
     """
     n = len(family.members)
     case_size = min(family.case_subset_size, n)
     size = case_size if subset_size is None else subset_size
     if size < 0 or size > n:
         raise ValueError(f"subset size {size} out of range 0..{n}")
-    if max_subsets is not None and max_subsets <= 0:
+    if max_subsets <= 0:
         # sampling no subsets would make the premise vacuously true
         raise ValueError(f"max_subsets must be positive, got {max_subsets}")
-    if n > FULL_AUDIT_LIMIT and max_subsets is None:
-        max_subsets = DEFAULT_SAMPLED_SUBSETS
 
     sampled = False
-    if max_subsets is None or comb(n, size) <= max_subsets:
+    if comb(n, size) <= max_subsets:
         subsets = combinations(range(n), size)
     else:
         # only sampled audits use random, and every job is a fresh process

@@ -74,22 +74,12 @@ def is_pointed_semigroup(s):
 
 
 def member(s, b):
-    """(flag, solution vector over s.generators); requires pointedness.
-
-    Over linearly independent generators the one solution is b's
-    coordinate vector (`cones.simplicial_coordinates`), read off and
-    checked; otherwise it is the membership search's first.
-    """
+    """(flag, solution vector over s.generators) by `is_member`, for a
+    target of length s.dimension; requires pointedness."""
     inst = DiophantineInstance(s.generators, b)
-    cols, rhs = inst.columns, inst.rhs
-    coords = simplicial_coordinates(cols, len(rhs), rhs)
-    if coords is None:
-        return is_member(inst)
-    x = tuple(num // den for num, den in coords)
-    if all(v >= 0 for v in x) and rhs == tuple(
-            sum(v * g[j] for v, g in zip(x, cols)) for j in range(len(rhs))):
-        return True, x
-    return False, None
+    if len(inst.rhs) != s.dimension:
+        raise ValueError("column/right-hand-side length mismatch")
+    return is_member(inst)
 
 
 def intersect_semigroups(s1, s2):
@@ -183,7 +173,7 @@ def _drop_generated(points, w):
     """
     kept = []
     for p in sorted(points, key=lambda p: (dot(w, p), p)):
-        if not is_member(DiophantineInstance(tuple(kept), p))[0]:
+        if not (kept and is_member(DiophantineInstance(tuple(kept), p))[0]):
             kept.append(p)
     return kept
 

@@ -24,6 +24,7 @@ from chromatic_semigroups._hilbert import _parallelepiped_points
 from chromatic_semigroups import numerical
 from chromatic_semigroups.errors import NotPointedError
 
+from conftest import independent_cone_points
 from lp_reference import rref
 
 SIX_COIN_COLUMNS = tuple((v,) for v in (9, 16, 11, 14, 12, 13))
@@ -83,6 +84,36 @@ def test_member():
     hit = tuple(sum(w[i] * fam.colored.columns[i][j] for i in range(18))
                 for j in range(3))
     assert hit == fam.target
+
+
+@given(independent_cone_points(), st.integers(0, 3),
+       st.sampled_from(["as drawn", "duplicate", "zero", "empty"]))
+def test_is_member_matches_the_raw_search(case, q, variant):
+    # over independent columns `is_member` reads b's coordinates off; the
+    # raw search must give the same first solution.  A repeated column
+    # makes the columns dependent, a zero column is refused and no columns
+    # reach the origin alone
+    s, p = case
+    cols = s.generators
+    if variant == "duplicate":
+        cols += cols[:1]
+    elif variant == "zero":
+        cols += ((0,) * s.dimension,)
+    elif variant == "empty":
+        cols = ()
+    point = tuple(q * v for v in p)
+    # one more in the first coordinate leaves the lattice, the span or the
+    # cone at times
+    for b in (point, (point[0] + 1,) + point[1:]):
+        inst = DiophantineInstance(cols, b)
+        if variant == "zero":
+            with pytest.raises(ValueError):
+                is_member(inst)
+            with pytest.raises(ValueError):
+                next(iter_solutions(inst))
+            continue
+        want = next(iter_solutions(inst), None)
+        assert is_member(inst) == (want is not None, want)
 
 
 def test_hilbert_basis_small():

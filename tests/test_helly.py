@@ -10,7 +10,7 @@ from chromatic_semigroups import (
     build_sharpness_family,
     colorful_helly_audit,
     helly_audit,
-    is_member,
+    iter_solutions,
     member,
     semigroup,
     tverberg_partition,
@@ -92,6 +92,12 @@ def test_helly_audit_samples_large_families_by_default():
     # the one empty subset is not sampled and makes the premise vacuous
     rep = helly_audit(fam, subset_size=0, seed=5)
     assert rep.premise_holds and not rep.sampled and rep.note == ""
+    # 12 members have at most C(12, 6) = 924 subsets of a size, fewer than
+    # the default max_subsets, so all of them are audited
+    rep = helly_audit(SemigroupFamily(members[:12], "general"),
+                      subset_size=6, seed=5)
+    assert not rep.sampled and rep.note == ""
+    assert not rep.premise_holds and len(rep.counterexample_subset) == 6
 
 
 def test_helly_audit_rejects_nonpositive_max_subsets():
@@ -200,7 +206,7 @@ def _tverberg_oracle(s, r):
         ok, p = family_intersection_nontrivial(sgs)
         if ok:
             return blocks, p, tuple(
-                is_member(DiophantineInstance(b.generators, p))[1]
+                next(iter_solutions(DiophantineInstance(b.generators, p)))
                 for b in sgs)
     return None
 
@@ -229,8 +235,9 @@ def test_block_witness_is_the_first_search_solution(case, extra):
     k = scale_into(s, p)
     for q in (k * extra, k * extra + 1):
         point = tuple(q * v for v in p)
-        assert member(s, point) == is_member(
-            DiophantineInstance(s.generators, point))
+        want = next(iter_solutions(DiophantineInstance(s.generators, point)),
+                    None)
+        assert member(s, point) == (want is not None, want)
 
 
 def test_tverberg_rejects_unpointed():

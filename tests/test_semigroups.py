@@ -17,6 +17,7 @@ from chromatic_semigroups import (
     is_member,
     is_pointed,
     is_pointed_semigroup,
+    iter_solutions,
     member,
     scale_into,
     semigroup,
@@ -164,7 +165,10 @@ def test_member_reads_off_independent_generators():
     for s, b in cases:
         assert cones_mod.simplicial_coordinates(
             s.generators, s.dimension, b) is not None
-        assert member(s, b) == is_member(DiophantineInstance(s.generators, b))
+        # the raw search's first solution, with no read-off in between
+        want = next(iter_solutions(DiophantineInstance(s.generators, b)),
+                    None)
+        assert member(s, b) == (want is not None, want)
     assert member(semigroup([(1, 0, 0), (0, 1, 0)]), (1, 1, 1)) == (
         False, None)
     # the solution is over the sorted generators (0, 1, 0), (1, 0, 0)
@@ -172,6 +176,9 @@ def test_member_reads_off_independent_generators():
         True, (3, 2))
     with pytest.raises(ValueError):
         member(semigroup([(1, 0), (0, 1)]), (1, 1, 1))
+    # with no generators the instance has no column to compare b with
+    with pytest.raises(ValueError, match="length mismatch"):
+        member(AffineSemigroup(2, ()), (0, 0, 0))
 
 
 def test_scale_into_examples():
